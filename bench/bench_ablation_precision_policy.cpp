@@ -5,10 +5,10 @@
 // needed near the diagonal, and does adapting to tile norms beat a fixed
 // band? Measured factorization residual vs storage for both families on a
 // covariance with realistic decay.
-#include "common/error.hpp"
 #include "bench_util.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/precision_policy.hpp"
+#include "runtime/failure.hpp"
+#include "runtime/tiled_cholesky_rt.hpp"
 
 using namespace exaclim;
 using namespace exaclim::linalg;
@@ -29,12 +29,13 @@ int main() {
 
     // Runs one policy; ill-conditioned matrices can lose positive
     // definiteness under fp16 rounding — report that instead of crashing
-    // (it is the accuracy cliff this ablation is mapping).
+    // (it is the accuracy cliff this ablation is mapping). The runtime
+    // reports a failed POTRF as a TaskFailure.
     auto run_policy = [&](const char* label, PrecisionMap map) {
       auto tiled = TiledSymmetricMatrix::from_dense(a, nb, map);
       try {
-        cholesky_tiled(tiled);
-      } catch (const NumericalError&) {
+        runtime::cholesky_tiled_parallel(tiled);
+      } catch (const runtime::TaskFailure&) {
         std::printf("%-24s %12s %12.2f %9.1f%%\n", label, "NOT PD",
                     map.storage_bytes(n, nb) / 1e6,
                     100.0 * map.fraction(Precision::FP64));

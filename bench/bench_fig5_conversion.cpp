@@ -9,7 +9,6 @@
 //      conversion + bandwidth-first collectives, new = sender + latency-
 //      first, with the paper's speedups (1.15 / 1.06 / 1.53) alongside.
 #include "bench_util.hpp"
-#include "linalg/cholesky.hpp"
 #include "perfmodel/calibration.hpp"
 #include "perfmodel/cholesky_sim.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"

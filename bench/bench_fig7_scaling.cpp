@@ -10,7 +10,6 @@
 // Also measures real strong scaling of the runtime Cholesky on this node's
 // cores (the node-scale analogue of the same experiment).
 #include "bench_util.hpp"
-#include "linalg/cholesky.hpp"
 #include "perfmodel/calibration.hpp"
 #include "perfmodel/cholesky_sim.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"

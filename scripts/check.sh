@@ -35,7 +35,10 @@ run() { echo "+ $*" >&2; "$@"; }
 #     below — everywhere else the default seq_cst stays until a relaxation
 #     has been argued through and the file added here;
 #   * no direct fopen outside common/io.cpp — all file I/O funnels through
-#     the checksummed, quarantine-aware io layer.
+#     the checksummed, quarantine-aware io layer;
+#   * the tile-factorization kernels (potrf/trsm/syrk/gemm) are called in
+#     src/ only from runtime/tiled_cholesky_rt.cpp — one tiled Cholesky
+#     engine, so a second copy cannot creep back in.
 lint() {
   local fail=0
 
@@ -81,6 +84,15 @@ lint() {
           || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: direct fopen outside common/io.cpp:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\b(potrf_lower_f64|(trsm_rlt|syrk_ln_minus|gemm_nt_minus)_f[0-9]+)\(' src \
+          | grep -vE '^src/(runtime/tiled_cholesky_rt\.cpp|linalg/kernels\.(hpp|cpp)):' \
+          || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: tile Cholesky kernel called outside runtime/tiled_cholesky_rt.cpp:" >&2
     echo "$hits" >&2
     fail=1
   fi

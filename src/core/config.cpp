@@ -1,0 +1,23 @@
+#include "core/config.hpp"
+
+#include "runtime/tiled_cholesky_rt.hpp"
+
+namespace exaclim::core {
+
+runtime::RtCholeskyOptions cholesky_options(const EmulatorConfig& config) {
+  runtime::RtCholeskyOptions opt;
+  opt.threads = config.threads;
+  opt.ft.enabled = config.fault_tolerance;
+  opt.ft.integrity_checks = config.fault_tolerance;
+  opt.ft.jitter_base = config.jitter_base;
+  opt.ft.checkpoint_path = config.checkpoint_path;
+  opt.ft.checkpoint_every = config.checkpoint_every;
+  opt.ft.resume_path = config.resume_path;
+  opt.ft.checkpoint_sync = config.checkpoint_sync;
+  opt.stall_timeout_seconds = config.stall_timeout_seconds;
+  opt.stall_grace_seconds = config.stall_grace_seconds;
+  opt.verify = config.verify_mode;
+  return opt;
+}
+
+}  // namespace exaclim::core

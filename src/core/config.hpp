@@ -9,6 +9,10 @@
 #include "runtime/verify_mode.hpp"
 #include "stats/trend.hpp"
 
+namespace exaclim::runtime {
+struct RtCholeskyOptions;
+}  // namespace exaclim::runtime
+
 namespace exaclim::core {
 
 struct EmulatorConfig {
@@ -19,9 +23,8 @@ struct EmulatorConfig {
 
   /// Precision variant for the Cholesky of the innovation covariance.
   linalg::PrecisionVariant cholesky_variant = linalg::PrecisionVariant::DP;
-  index_t tile_size = 128;           ///< nb for the tiled solver
-  bool use_parallel_runtime = true;  ///< factor U via the task runtime
-  unsigned threads = 0;              ///< 0 = hardware concurrency
+  index_t tile_size = 128;  ///< nb for the tiled solver
+  unsigned threads = 0;     ///< 0 = hardware concurrency
 
   double jitter_base = 1e-10;  ///< diagonal perturbation scale (Eq. 9 repair)
 
@@ -72,5 +75,10 @@ struct EmulatorConfig {
     return c;
   }
 };
+
+/// The tiled-Cholesky options a trainer factors U-hat with: threads, fault
+/// tolerance, checkpointing, stall watchdog and DAG verification, all taken
+/// from `config`. Every trainer goes through this one mapping.
+runtime::RtCholeskyOptions cholesky_options(const EmulatorConfig& config);
 
 }  // namespace exaclim::core

@@ -196,32 +196,14 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
   linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
       prepared.u, nb,
       linalg::make_band_policy(nt, config_.cholesky_variant));
-  if (config_.use_parallel_runtime) {
-    runtime::RtCholeskyOptions rt_opt;
-    rt_opt.threads = config_.threads;
-    rt_opt.ft.enabled = config_.fault_tolerance;
-    rt_opt.ft.integrity_checks = config_.fault_tolerance;
-    rt_opt.ft.jitter_base = config_.jitter_base;
-    rt_opt.ft.checkpoint_path = config_.checkpoint_path;
-    rt_opt.ft.checkpoint_every = config_.checkpoint_every;
-    rt_opt.ft.resume_path = config_.resume_path;
-    rt_opt.ft.checkpoint_sync = config_.checkpoint_sync;
-    rt_opt.stall_timeout_seconds = config_.stall_timeout_seconds;
-    rt_opt.stall_grace_seconds = config_.stall_grace_seconds;
-    rt_opt.verify = config_.verify_mode;
-    const runtime::RtCholeskyResult rt =
-        runtime::cholesky_tiled_parallel(tiled, rt_opt);
-    report.precision_escalations = rt.precision_escalations;
-    report.jitter_escalations = rt.jitter_escalations;
-    report.checkpoints_written = rt.checkpoints_written;
-    report.resumed_from_checkpoint = rt.resumed;
-  } else {
-    report.cholesky = linalg::cholesky_tiled(tiled);
-  }
+  const runtime::RtCholeskyResult rt =
+      runtime::cholesky_tiled_parallel(tiled, cholesky_options(config_));
+  report.precision_escalations = rt.precision_escalations;
+  report.jitter_escalations = rt.jitter_escalations;
+  report.checkpoints_written = rt.checkpoints_written;
+  report.resumed_from_checkpoint = rt.resumed;
   factor_ = tiled.to_dense(/*lower_only=*/true);
   report.cholesky_seconds = stage.seconds();
-  const double n_d = static_cast<double>(n_coeff);
-  report.cholesky_gflops = n_d * n_d * n_d / 3.0 * 1e-9;
 
   trained_ = true;
   report.total_seconds = total.seconds();

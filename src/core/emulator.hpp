@@ -22,7 +22,7 @@
 
 #include "climate/dataset.hpp"
 #include "core/config.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/matrix.hpp"
 #include "sht/sht.hpp"
 #include "stats/ar.hpp"
 #include "stats/trend.hpp"
@@ -39,11 +39,9 @@ struct TrainReport {
   double total_seconds = 0.0;
   double covariance_jitter = 0.0;
   bool covariance_deficient = false;
-  linalg::CholeskyStats cholesky;
-  double cholesky_gflops = 0.0;
   index_t innovation_samples = 0;  ///< R (T - P)
 
-  // Fault-tolerance outcomes from the tiled Cholesky (parallel runtime only).
+  // Fault-tolerance outcomes from the tiled Cholesky.
   index_t precision_escalations = 0;
   index_t jitter_escalations = 0;
   index_t checkpoints_written = 0;

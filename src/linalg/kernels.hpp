@@ -7,8 +7,8 @@
 //   * FP32 kernels: plain float arithmetic.
 //   * FP16 "tensor-core" path: operands are rounded through IEEE binary16 and
 //     the multiply-accumulate runs in fp32 (see gemm/syrk callers in
-//     cholesky.cpp), which is exactly the V100/A100/H100/MI250X tensor-core
-//     contract the paper relies on.
+//     runtime/tiled_cholesky_rt.cpp), which is exactly the
+//     V100/A100/H100/MI250X tensor-core contract the paper relies on.
 //
 // All tiles are row-major with a leading dimension equal to the tile width.
 // Kernels take explicit (m, n, k) so ragged edge tiles work.

@@ -27,17 +27,6 @@ struct PotrfFtState {
   int jitters = 0;
 };
 
-/// Resolves an operand pointer at task-execution time. `copy` non-null means
-/// a sender-side converted buffer exists; otherwise either the storage
-/// already has the right representation or we convert into local scratch
-/// (receiver placement).
-struct ResolvedOperand {
-  const double* d = nullptr;
-  const float* f = nullptr;
-  const exaclim::common::half* h = nullptr;
-  float hscale = 1.0f;
-};
-
 /// Effect-metadata precision of a tile's storage plane.
 EffectPrec to_effect_prec(Precision p) {
   switch (p) {
@@ -59,13 +48,8 @@ CholeskyGraph::Repr CholeskyGraph::operand_repr(Precision out) {
   return Repr::F64;
 }
 
-CholeskyGraph::Repr CholeskyGraph::natural_repr(Precision storage) {
-  switch (storage) {
-    case Precision::FP64: return Repr::F64;
-    case Precision::FP32: return Repr::F32;
-    case Precision::FP16: return Repr::F16P;  // storage IS the packed form
-  }
-  return Repr::F64;
+bool CholeskyGraph::stored_as(const TileBuffer& t, Repr repr) {
+  return operand_repr(t.precision()) == repr;  // FP16 storage IS F16P
 }
 
 TilePlane CholeskyGraph::repr_plane(Repr repr) {
@@ -77,67 +61,73 @@ TilePlane CholeskyGraph::repr_plane(Repr repr) {
   return TilePlane::None;
 }
 
-CholeskyGraph::CopySlot& CholeskyGraph::copy_slot(index_t i, index_t j,
-                                                  Repr repr) {
-  auto key = std::make_tuple(i, j, static_cast<int>(repr));
-  auto it = copies_.find(key);
-  if (it == copies_.end()) {
-    it = copies_.emplace(key, std::make_unique<CopySlot>()).first;
+void CholeskyGraph::convert(const TileBuffer& t, Repr repr, Copy& out) {
+  const index_t count = t.count();
+  const auto size = static_cast<std::size_t>(count);
+  switch (repr) {
+    case Repr::F64:
+      out.d.resize(size);
+      t.store_f64(out.d.data());
+      break;
+    case Repr::F32:
+      out.f.resize(size);
+      t.to_f32(out.f.data());
+      break;
+    case Repr::F16P:
+      // Scaled narrowing of an FP64/FP32 tile into packed-half operand form
+      // (FP16 storage is delivered as is). The scale is chosen here, when
+      // the conversion executes.
+      out.h.resize(size);
+      out.hscale =
+          t.precision() == Precision::FP64
+              ? linalg::convert_f64_to_f16_scaled(t.f64(), out.h.data(), count)
+              : linalg::convert_f32_to_f16_scaled(t.f32(), out.h.data(), count);
+      break;
   }
-  return *it->second;
 }
 
-DataHandle CholeskyGraph::ensure_convert(index_t i, index_t j, Repr repr,
-                                         index_t k) {
-  CopySlot& slot = copy_slot(i, j, repr);
-  if (slot.handle.valid()) return slot.handle;
-  TileBuffer& t = a_.tile(i, j);
+CholeskyGraph::OperandView CholeskyGraph::fetch(const TileBuffer& t,
+                                                Repr repr, const Copy* shared,
+                                                Copy& scratch) {
+  if (shared == nullptr) {
+    if (stored_as(t, repr)) {
+      switch (repr) {
+        case Repr::F64: return {.d = t.f64()};
+        case Repr::F32: return {.f = t.f32()};
+        case Repr::F16P: return {.h = t.f16(), .hscale = t.scale()};
+      }
+    }
+    convert(t, repr, scratch);
+    shared = &scratch;
+  }
+  return {.d = shared->d.empty() ? nullptr : shared->d.data(),
+          .f = shared->f.empty() ? nullptr : shared->f.data(),
+          .h = shared->h.empty() ? nullptr : shared->h.data(),
+          .hscale = shared->hscale};
+}
+
+const CholeskyGraph::CopySlot& CholeskyGraph::ensure_convert(index_t i,
+                                                             index_t j,
+                                                             Repr repr,
+                                                             index_t k) {
+  auto& owned = copies_[std::make_tuple(i, j, static_cast<int>(repr))];
+  if (owned == nullptr) owned = std::make_unique<CopySlot>();
+  CopySlot& slot = *owned;
+  if (slot.handle.valid()) return slot;
+  const TileBuffer& t = a_.tile(i, j);
   const index_t count = t.count();
   const TilePlane plane = repr_plane(repr);
   slot.handle = graph_.create_handle(
       "copy(" + std::to_string(i) + "," + std::to_string(j) + ")",
       TileCoord{i, j, plane, plane_precision(plane)});
-  Copy* buffer = &slot.buffer;
-  std::function<void()> body;
-  // The converted buffers are allocated INSIDE the task body, not at graph
+  // The converted buffer is allocated INSIDE the task body, not at graph
   // build time: the executing worker (usually the consumers' affinity home)
   // first-touches the pages, so on a NUMA machine the copy lands on the
   // node that will read it. Consumers are ordered after the CONVERT task by
   // the inferred RAW edge, so they never observe the vector mid-resize.
-  switch (repr) {
-    case Repr::F64:
-      body = [&t, buffer, count] {
-        buffer->d.resize(static_cast<std::size_t>(count));
-        t.store_f64(buffer->d.data());
-      };
-      break;
-    case Repr::F32:
-      body = [&t, buffer, count] {
-        buffer->f.resize(static_cast<std::size_t>(count));
-        t.to_f32(buffer->f.data());
-      };
-      break;
-    case Repr::F16P:
-      // Scaled narrowing of an FP64/FP32 tile into packed-half operand form
-      // (FP16 storage never gets here — consumers read it directly). The
-      // scale is chosen when the CONVERT task executes.
-      if (t.precision() == Precision::FP64) {
-        body = [&t, buffer, count] {
-          buffer->h.resize(static_cast<std::size_t>(count));
-          buffer->hscale =
-              linalg::convert_f64_to_f16_scaled(t.f64(), buffer->h.data(),
-                                                count);
-        };
-      } else {
-        body = [&t, buffer, count] {
-          buffer->h.resize(static_cast<std::size_t>(count));
-          buffer->hscale =
-              linalg::convert_f32_to_f16_scaled(t.f32(), buffer->h.data(),
-                                                count);
-        };
-      }
-      break;
-  }
+  std::function<void()> body = [&t, repr, buffer = &slot.buffer] {
+    convert(t, repr, *buffer);
+  };
   if (ft_.integrity_checks) {
     // A CONVERT's output is a private copy buffer (not checksummed), but the
     // tile it reads must still be intact.
@@ -162,7 +152,7 @@ DataHandle CholeskyGraph::ensure_convert(index_t i, index_t j, Repr repr,
   graph_.submit(std::move(task));
   ++convert_tasks_;
   element_conversions_ += static_cast<double>(count);
-  return slot.handle;
+  return slot;
 }
 
 CholeskyGraph::CholeskyGraph(linalg::TiledSymmetricMatrix& a,
@@ -262,69 +252,31 @@ void CholeskyGraph::build() {
   const index_t nt = a_.num_tile_rows();
   const bool sender = placement_ == ConversionPlacement::Sender;
 
-  // Handle + declared read effect a consumer should use for tile (i,j)
-  // delivered in `repr`, creating a sender-side CONVERT task when needed. In
-  // receiver placement the consumer converts privately, so the tile handle
-  // (storage plane) is used and the conversion cost is accounted here (it
-  // happens inside the consumer).
+  // Handle, declared read effect and shared copy (sender placement only) a
+  // consumer uses for tile (i,j) delivered in `repr`, creating a sender-side
+  // CONVERT task when needed. In receiver placement the consumer converts
+  // privately, so the tile handle (storage plane) is used and the conversion
+  // cost is accounted here (it happens inside the consumer).
   struct Operand {
     DataHandle handle;
     TileEffect effect;
+    const Copy* copy = nullptr;
   };
   auto operand_for = [&](index_t i, index_t j, Repr repr,
                          index_t k) -> Operand {
     const TileBuffer& t = a_.tile(i, j);
-    const bool direct =
-        (repr == Repr::F64 && t.precision() == Precision::FP64) ||
-        (repr == Repr::F32 && t.precision() == Precision::FP32) ||
-        (repr == Repr::F16P && t.precision() == Precision::FP16);
+    const bool direct = stored_as(t, repr);
     if (!direct && sender) {
+      const CopySlot& slot = ensure_convert(i, j, repr, k);
       const TilePlane plane = repr_plane(repr);
-      return {ensure_convert(i, j, repr, k),
-              {i, j, Access::Read, plane, plane_precision(plane)}};
+      return {slot.handle,
+              {i, j, Access::Read, plane, plane_precision(plane)},
+              &slot.buffer};
     }
     if (!direct) element_conversions_ += static_cast<double>(t.count());
     return {tile_handle(i, j),
             {i, j, Access::Read, TilePlane::Storage,
              to_effect_prec(t.precision())}};
-  };
-
-  // Executes a receiver-side conversion inside a task body.
-  auto resolve = [](const TileBuffer& t, Repr repr, std::vector<double>& ds,
-                    std::vector<float>& fs,
-                    std::vector<common::half>& hs) -> ResolvedOperand {
-    if (repr == Repr::F64 && t.precision() == Precision::FP64) {
-      return {.d = t.f64()};
-    }
-    if (repr == Repr::F32 && t.precision() == Precision::FP32) {
-      return {.f = t.f32()};
-    }
-    if (repr == Repr::F16P && t.precision() == Precision::FP16) {
-      return {.h = t.f16(), .hscale = t.scale()};
-    }
-    switch (repr) {
-      case Repr::F64:
-        ds.resize(static_cast<std::size_t>(t.count()));
-        t.store_f64(ds.data());
-        return {.d = ds.data()};
-      case Repr::F32:
-        fs.resize(static_cast<std::size_t>(t.count()));
-        t.to_f32(fs.data());
-        return {.f = fs.data()};
-      case Repr::F16P: {
-        hs.resize(static_cast<std::size_t>(t.count()));
-        float scale;
-        if (t.precision() == Precision::FP64) {
-          scale = linalg::convert_f64_to_f16_scaled(t.f64(), hs.data(),
-                                                    t.count());
-        } else {
-          scale = linalg::convert_f32_to_f16_scaled(t.f32(), hs.data(),
-                                                    t.count());
-        }
-        return {.h = hs.data(), .hscale = scale};
-      }
-    }
-    return {};
   };
 
   for (index_t k = 0; k < nt; ++k) {
@@ -424,12 +376,7 @@ void CholeskyGraph::build() {
       const Precision bp = b.precision();
       const Repr l_repr = (bp == Precision::FP64) ? Repr::F64 : Repr::F32;
       const Operand l_operand = operand_for(k, k, l_repr, k);
-      const DataHandle l_handle = l_operand.handle;
-      TileBuffer& diag = a_.tile(k, k);
-      Copy* l_copy = nullptr;
-      if (sender && l_handle.id != tile_handle(k, k).id) {
-        l_copy = &copy_slot(k, k, l_repr).buffer;
-      }
+      const TileBuffer& diag = a_.tile(k, k);
       Task task;
       task.name = "TRSM(" + std::to_string(i) + "," + std::to_string(k) + ")";
       task.kind = TaskKind::Trsm;
@@ -440,18 +387,10 @@ void CholeskyGraph::build() {
       const index_t n = b.cols();
       task.weight = static_cast<double>(m) * static_cast<double>(n) *
                     static_cast<double>(n);
-      std::function<void()> body = [&b, &diag, l_copy, resolve, m, n, bp,
-                                    l_repr] {
-        std::vector<double> ds;
-        std::vector<float> fs;
-        std::vector<common::half> hs;
-        ResolvedOperand l;
-        if (l_copy != nullptr) {
-          l = {.d = l_copy->d.empty() ? nullptr : l_copy->d.data(),
-               .f = l_copy->f.empty() ? nullptr : l_copy->f.data()};
-        } else {
-          l = resolve(diag, l_repr, ds, fs, hs);
-        }
+      std::function<void()> body = [&b, &diag, l_copy = l_operand.copy, m, n,
+                                    bp, l_repr] {
+        Copy scratch;
+        const OperandView l = fetch(diag, l_repr, l_copy, scratch);
         switch (bp) {
           case Precision::FP64:
             linalg::trsm_rlt_f64(l.d, b.f64(), m, n);
@@ -471,7 +410,7 @@ void CholeskyGraph::build() {
       };
       task.fn = guard(std::move(body), TaskKind::Trsm, {{k, k}}, i, k,
                       static_cast<std::uint64_t>(kernel_ids_.size()));
-      task.accesses = {{l_handle, Access::Read},
+      task.accesses = {{l_operand.handle, Access::Read},
                        {tile_handle(i, k), Access::ReadWrite}};
       task.effects = {l_operand.effect,
                       {i, k, Access::ReadWrite, TilePlane::Storage,
@@ -486,11 +425,6 @@ void CholeskyGraph::build() {
         TileBuffer& in = a_.tile(i, k);
         const Repr repr = operand_repr(c.precision());
         const Operand in_operand = operand_for(i, k, repr, k);
-        const DataHandle in_handle = in_operand.handle;
-        Copy* in_copy = nullptr;
-        if (sender && in_handle.id != tile_handle(i, k).id) {
-          in_copy = &copy_slot(i, k, repr).buffer;
-        }
         Task task;
         task.name = "SYRK(" + std::to_string(i) + "," + std::to_string(k) + ")";
         task.kind = TaskKind::Syrk;
@@ -502,20 +436,10 @@ void CholeskyGraph::build() {
         task.weight = static_cast<double>(m) * static_cast<double>(m) *
                       static_cast<double>(kk);
         const Precision cp = c.precision();
-        std::function<void()> body = [&c, &in, in_copy, resolve, m, kk, cp,
-                                      repr] {
-          std::vector<double> ds;
-          std::vector<float> fs;
-          std::vector<common::half> hs;
-          ResolvedOperand op;
-          if (in_copy != nullptr) {
-            op = {.d = in_copy->d.empty() ? nullptr : in_copy->d.data(),
-                  .f = in_copy->f.empty() ? nullptr : in_copy->f.data(),
-                  .h = in_copy->h.empty() ? nullptr : in_copy->h.data(),
-                  .hscale = in_copy->hscale};
-          } else {
-            op = resolve(in, repr, ds, fs, hs);
-          }
+        std::function<void()> body = [&c, &in, in_copy = in_operand.copy, m,
+                                      kk, cp, repr] {
+          Copy scratch;
+          const OperandView op = fetch(in, repr, in_copy, scratch);
           switch (cp) {
             case Precision::FP64:
               linalg::syrk_ln_minus_f64(op.d, c.f64(), m, kk);
@@ -534,7 +458,7 @@ void CholeskyGraph::build() {
         };
         task.fn = guard(std::move(body), TaskKind::Syrk, {{i, k}}, i, i,
                         static_cast<std::uint64_t>(kernel_ids_.size()));
-        task.accesses = {{in_handle, Access::Read},
+        task.accesses = {{in_operand.handle, Access::Read},
                          {tile_handle(i, i), Access::ReadWrite}};
         task.effects = {in_operand.effect,
                         {i, i, Access::ReadWrite, TilePlane::Storage,
@@ -550,14 +474,6 @@ void CholeskyGraph::build() {
         const Repr repr = operand_repr(c.precision());
         const Operand a_operand = operand_for(i, k, repr, k);
         const Operand b_operand = operand_for(j, k, repr, k);
-        const DataHandle a_handle = a_operand.handle;
-        const DataHandle b_handle = b_operand.handle;
-        auto copy_for = [&](index_t r, DataHandle h) -> Copy* {
-          if (!sender || h.id == tile_handle(r, k).id) return nullptr;
-          return &copy_slot(r, k, repr).buffer;
-        };
-        Copy* a_copy = copy_for(i, a_handle);
-        Copy* b_copy = copy_for(j, b_handle);
         Task task;
         task.name = "GEMM(" + std::to_string(i) + "," + std::to_string(j) +
                     "," + std::to_string(k) + ")";
@@ -571,24 +487,12 @@ void CholeskyGraph::build() {
         task.weight = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
                       static_cast<double>(kk);
         const Precision cp = c.precision();
-        std::function<void()> body = [&c, &ain, &bin, a_copy, b_copy, resolve,
-                                      m, n, kk, cp, repr] {
-          std::vector<double> dsa, dsb;
-          std::vector<float> fsa, fsb;
-          std::vector<common::half> hsa, hsb;
-          auto get = [&](const TileBuffer& t, Copy* copy,
-                         std::vector<double>& ds, std::vector<float>& fs,
-                         std::vector<common::half>& hs) -> ResolvedOperand {
-            if (copy != nullptr) {
-              return {.d = copy->d.empty() ? nullptr : copy->d.data(),
-                      .f = copy->f.empty() ? nullptr : copy->f.data(),
-                      .h = copy->h.empty() ? nullptr : copy->h.data(),
-                      .hscale = copy->hscale};
-            }
-            return resolve(t, repr, ds, fs, hs);
-          };
-          const ResolvedOperand a_op = get(ain, a_copy, dsa, fsa, hsa);
-          const ResolvedOperand b_op = get(bin, b_copy, dsb, fsb, hsb);
+        std::function<void()> body = [&c, &ain, &bin, a_copy = a_operand.copy,
+                                      b_copy = b_operand.copy, m, n, kk, cp,
+                                      repr] {
+          Copy scratch_a, scratch_b;
+          const OperandView a_op = fetch(ain, repr, a_copy, scratch_a);
+          const OperandView b_op = fetch(bin, repr, b_copy, scratch_b);
           switch (cp) {
             case Precision::FP64:
               linalg::gemm_nt_minus_f64(a_op.d, b_op.d, c.f64(), m, n, kk);
@@ -608,8 +512,8 @@ void CholeskyGraph::build() {
         };
         task.fn = guard(std::move(body), TaskKind::Gemm, {{i, k}, {j, k}}, i,
                         j, static_cast<std::uint64_t>(kernel_ids_.size()));
-        task.accesses = {{a_handle, Access::Read},
-                         {b_handle, Access::Read},
+        task.accesses = {{a_operand.handle, Access::Read},
+                         {b_operand.handle, Access::Read},
                          {tile_handle(i, j), Access::ReadWrite}};
         task.effects = {a_operand.effect, b_operand.effect,
                         {i, j, Access::ReadWrite, TilePlane::Storage,
@@ -731,6 +635,15 @@ RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
   result.precision_escalations = builder.precision_escalations();
   result.jitter_escalations = builder.jitter_escalations();
   return result;
+}
+
+linalg::Matrix cholesky_mixed_dense(const linalg::Matrix& a, index_t nb,
+                                    linalg::PrecisionVariant v) {
+  const index_t nt = (a.rows() + nb - 1) / nb;
+  auto tiled = linalg::TiledSymmetricMatrix::from_dense(
+      a, nb, linalg::make_band_policy(nt, v));
+  cholesky_tiled_parallel(tiled);
+  return tiled.to_dense(/*lower_only=*/true);
 }
 
 }  // namespace exaclim::runtime

@@ -1,18 +1,27 @@
-// Runtime-parallel mixed-precision tile Cholesky.
+// Mixed-precision tile Cholesky (right-looking) on the task runtime — the
+// library's one tiled factorization engine; at threads = 1 it is the
+// sequential case.
 //
-// Builds the POTRF/TRSM/SYRK/GEMM task graph over a TiledSymmetricMatrix and
-// executes it on the work-stealing scheduler. Precision-conversion placement
-// is expressed in the DAG itself:
-//   * Sender placement inserts explicit CONVERT tasks right after the
-//     producing POTRF/TRSM, writing a shared converted copy that all
-//     consumers read — one conversion per (tile, precision), exactly
-//     PaRSEC's sender-side reshaping in the paper (Section V-A).
-//   * Receiver placement performs conversions privately inside each
-//     consuming task (the [34] baseline): no CONVERT tasks, more conversion
-//     work, more memory traffic.
-//
-// The same builder is used by the perfmodel at small tile counts to validate
-// the analytic cluster model against a real DAG.
+// Factorizes a TiledSymmetricMatrix in place: on return the lower-triangle
+// tiles hold L with A ~= L L^T, each tile still in its assigned storage
+// precision. The task structure matches the paper (Section V-A):
+//   POTRF(k,k)  -> broadcasts to TRSM(i,k), i > k
+//   TRSM(i,k)   -> broadcasts to GEMM(i,j,k) in row i / column i, SYRK(i,k)
+// Tasks compute in the precision class of their *output* tile; fp16 tiles
+// compute with half-rounded operands and fp32 accumulation (tensor-core
+// semantics). Inputs arriving in a different precision are converted either
+//   * at the "sender": explicit CONVERT tasks right after the producing
+//     POTRF/TRSM write a shared converted copy that all consumers read — one
+//     conversion per (tile, precision), PaRSEC's sender-side reshaping and
+//     the paper's optimized placement; or
+//   * at the "receiver": every consuming task converts privately — no
+//     CONVERT tasks, more conversion work and memory traffic; the baseline
+//     of [34] that Fig. 5 compares against.
+// Both placements run the same conversion routine, so they produce
+// bit-identical factors. On CPU the distinction shows up as conversion work
+// and memory traffic; the perfmodel replays the same choice with
+// communication costs at scale, and uses this builder at small tile counts
+// to validate its analytic cluster model against a real DAG.
 #pragma once
 
 #include <atomic>
@@ -22,7 +31,7 @@
 #include <string>
 
 #include "common/io.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/precision_policy.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
@@ -85,11 +94,19 @@ struct RtCholeskyResult {
   bool resumed = false;               ///< tiles restored from resume_path
 };
 
-/// Factorizes `a` in place in parallel. Throws NumericalError if a diagonal
-/// tile is not positive definite (after quiescing the worker pool).
+/// Factorizes `a` in place in parallel. If a diagonal tile is not positive
+/// definite (and fault tolerance cannot recover it), throws a TaskFailure
+/// (runtime/failure.hpp) with kind "POTRF" naming the tile, after quiescing
+/// the worker pool.
 RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
                                          const RtCholeskyOptions& options = {},
                                          Trace* trace = nullptr);
+
+/// Convenience: factorizes a dense SPD matrix through the tiled solver with
+/// the band policy of variant `v` and returns the dense lower factor (upper
+/// zeroed).
+linalg::Matrix cholesky_mixed_dense(const linalg::Matrix& a, index_t nb,
+                                    linalg::PrecisionVariant v);
 
 /// Holds the task graph plus the converted-copy buffers the task bodies
 /// reference; must outlive execution.
@@ -130,16 +147,32 @@ class CholeskyGraph {
     std::vector<double> d;
     std::vector<float> f;
     std::vector<common::half> h;  // packed-half operand form
-    float hscale = 1.0f;          // scale of h, written by the CONVERT task
+    float hscale = 1.0f;          // scale of h, chosen by convert()
   };
   /// F16P = packed binary16 + scale, the operand form of the packed-half
   /// kernels. FP16-stored tiles are already in it (no CONVERT task needed).
   enum class Repr : std::uint8_t { F64, F32, F16P };
+  /// Kernel-ready pointers to one operand; only `repr`'s member is set.
+  struct OperandView {
+    const double* d = nullptr;
+    const float* f = nullptr;
+    const common::half* h = nullptr;
+    float hscale = 1.0f;  // scale of h; true value = float(h[i]) * hscale
+  };
 
   static Repr operand_repr(linalg::Precision out);
-  static Repr natural_repr(linalg::Precision storage);
+  /// True when `t`'s storage already is `repr` (delivered without a copy).
+  static bool stored_as(const linalg::TileBuffer& t, Repr repr);
   /// The copy plane a CONVERT producing `repr` writes (effect metadata).
   static TilePlane repr_plane(Repr repr);
+  /// Converts `t` into `repr`, filling `out`: the one conversion routine,
+  /// run by CONVERT tasks (sender) and inside consumers (receiver).
+  static void convert(const linalg::TileBuffer& t, Repr repr, Copy& out);
+  /// Delivers `t` in `repr` inside a consumer body: the sender's shared copy
+  /// when one was built, else the tile's own storage when it already is
+  /// `repr`, else a private conversion into `scratch`.
+  static OperandView fetch(const linalg::TileBuffer& t, Repr repr,
+                           const Copy* shared, Copy& scratch);
 
   /// Handle + buffer for a converted copy, created on first need.
   struct CopySlot {
@@ -147,10 +180,9 @@ class CholeskyGraph {
     Copy buffer;
   };
 
-  CopySlot& copy_slot(index_t i, index_t j, Repr repr);
   /// Ensures a CONVERT task exists producing (i,j) in `repr`; returns the
-  /// handle consumers should read. `producer_handle` is the tile handle.
-  DataHandle ensure_convert(index_t i, index_t j, Repr repr, index_t k);
+  /// slot whose handle consumers read and whose buffer they consume.
+  const CopySlot& ensure_convert(index_t i, index_t j, Repr repr, index_t k);
 
   DataHandle tile_handle(index_t i, index_t j) const {
     return tile_handles_[static_cast<std::size_t>(i * (i + 1) / 2 + j)];

@@ -11,10 +11,11 @@
 #include <filesystem>
 #include <string>
 
+#include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/io.hpp"
-#include "linalg/cholesky.hpp"
+#include "core/multivariate.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/failure.hpp"
@@ -132,6 +133,35 @@ TEST(FaultMatrix, NumericalFaultWithoutToleranceIsStructured) {
       EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
     }
   }
+}
+
+TEST(FaultMatrix, MultivariateTrainHonoursFaultTolerance) {
+  // The joint trainer factors through the same EmulatorConfig mapping as the
+  // univariate one: with fault tolerance on, a numerical fault in every
+  // diagonal POTRF is recovered and training completes.
+  climate::SyntheticEsmConfig esm;
+  esm.band_limit = 4;
+  esm.grid = {9, 16};
+  esm.num_years = 2;
+  esm.steps_per_year = 24;
+  esm.num_ensembles = 2;
+  const auto data = climate::generate_bivariate_esm(esm, 0.7);
+  core::EmulatorConfig cfg;
+  cfg.band_limit = 4;
+  cfg.ar_order = 1;
+  cfg.harmonics = 1;
+  cfg.steps_per_year = 24;
+  cfg.tile_size = 8;
+  cfg.fault_tolerance = true;
+
+  InjectorGuard guard;
+  FaultInjector::instance().arm(
+      FaultPlan::parse("seed=3;numerical=1;kind=POTRF"));
+  core::MultiVariateEmulator emulator(cfg);
+  EXPECT_NO_THROW(
+      emulator.train({&data.primary, &data.secondary}, data.forcing));
+  EXPECT_GT(FaultInjector::instance().counts().numerical, 0);
+  EXPECT_TRUE(emulator.is_trained());
 }
 
 // ---------- transient faults ------------------------------------------------

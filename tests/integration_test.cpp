@@ -161,37 +161,6 @@ TEST(Integration, ModelFileIsSmallerThanData) {
   std::filesystem::remove(data_path);
 }
 
-TEST(Integration, RuntimeAndSequentialCholeskyGiveSameEmulator) {
-  climate::SyntheticEsmConfig esm_cfg;
-  esm_cfg.band_limit = 8;
-  esm_cfg.grid = {9, 16};
-  esm_cfg.num_years = 3;
-  esm_cfg.steps_per_year = 32;
-  esm_cfg.num_ensembles = 2;
-  const auto esm = climate::generate_synthetic_esm(esm_cfg);
-
-  core::EmulatorConfig cfg;
-  cfg.band_limit = 8;
-  cfg.ar_order = 2;
-  cfg.harmonics = 2;
-  cfg.steps_per_year = 32;
-  cfg.tile_size = 16;
-  cfg.use_parallel_runtime = true;
-  core::ClimateEmulator parallel_emu(cfg);
-  parallel_emu.train(esm.data, esm.forcing);
-  cfg.use_parallel_runtime = false;
-  core::ClimateEmulator serial_emu(cfg);
-  serial_emu.train(esm.data, esm.forcing);
-  // Identical tile kernels and order -> identical factors.
-  const auto& va = parallel_emu.cholesky_factor();
-  const auto& vb = serial_emu.cholesky_factor();
-  for (index_t i = 0; i < va.rows(); ++i) {
-    for (index_t j = 0; j < va.cols(); ++j) {
-      EXPECT_EQ(va(i, j), vb(i, j));
-    }
-  }
-}
-
 TEST(Integration, ScenarioEmulationTracksForcingDifference) {
   climate::SyntheticEsmConfig esm_cfg;
   esm_cfg.band_limit = 8;

@@ -6,11 +6,12 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/tile_matrix.hpp"
+#include "runtime/failure.hpp"
+#include "runtime/tiled_cholesky_rt.hpp"
 
 namespace {
 
@@ -264,14 +265,15 @@ class MixedCholesky : public ::testing::TestWithParam<CholeskyCase> {};
 TEST_P(MixedCholesky, ResidualWithinPolicyTolerance) {
   const auto [n, nb, variant, tol] = GetParam();
   Matrix a = decaying_spd(n);
-  CholeskyStats stats;
-  const Matrix l = cholesky_mixed_dense(a, nb, variant, &stats);
-  EXPECT_LT(cholesky_residual(a, l), tol)
-      << variant_name(variant) << " n=" << n << " nb=" << nb;
-  // Task count: nt POTRF + nt(nt-1)/2 TRSM + nt(nt-1)/2 SYRK +
-  // nt(nt-1)(nt-2)/6 GEMM.
   const index_t nt = (n + nb - 1) / nb;
-  EXPECT_EQ(stats.tasks,
+  auto t =
+      TiledSymmetricMatrix::from_dense(a, nb, make_band_policy(nt, variant));
+  const runtime::RtCholeskyResult result = runtime::cholesky_tiled_parallel(t);
+  EXPECT_LT(cholesky_residual(a, t.to_dense(true)), tol)
+      << variant_name(variant) << " n=" << n << " nb=" << nb;
+  // Kernel task count: nt POTRF + nt(nt-1)/2 TRSM + nt(nt-1)/2 SYRK +
+  // nt(nt-1)(nt-2)/6 GEMM; sender CONVERT tasks come on top.
+  EXPECT_EQ(result.total_tasks - result.convert_tasks,
             nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6);
 }
 
@@ -298,7 +300,7 @@ TEST(MixedCholeskyAccuracy, ResidualOrderingMatchesPaper) {
   int idx = 0;
   for (PrecisionVariant v : {PrecisionVariant::DP, PrecisionVariant::DP_SP,
                              PrecisionVariant::DP_HP}) {
-    const Matrix l = cholesky_mixed_dense(a, 64, v);
+    const Matrix l = runtime::cholesky_mixed_dense(a, 64, v);
     residuals[idx++] = cholesky_residual(a, l);
   }
   EXPECT_LT(residuals[0], residuals[1]);
@@ -316,9 +318,10 @@ TEST(MixedCholeskyConversions, SenderConvertsLessThanReceiver) {
        {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
     auto t = TiledSymmetricMatrix::from_dense(
         a, nb, make_band_policy(nt, PrecisionVariant::DP_HP));
-    CholeskyOptions opt;
+    runtime::RtCholeskyOptions opt;
     opt.placement = placement;
-    conversions[idx++] = cholesky_tiled(t, opt).element_conversions;
+    conversions[idx++] =
+        runtime::cholesky_tiled_parallel(t, opt).element_conversions;
   }
   EXPECT_LT(conversions[0], conversions[1]);
 }
@@ -328,7 +331,9 @@ TEST(MixedCholeskyConversions, DpVariantConvertsNothing) {
   Matrix a = decaying_spd(n);
   auto t = TiledSymmetricMatrix::from_dense(
       a, 32, make_band_policy(4, PrecisionVariant::DP));
-  EXPECT_EQ(cholesky_tiled(t).element_conversions, 0.0);
+  const runtime::RtCholeskyResult result = runtime::cholesky_tiled_parallel(t);
+  EXPECT_EQ(result.convert_tasks, 0);
+  EXPECT_EQ(result.element_conversions, 0.0);
 }
 
 TEST(MixedCholesky, SenderAndReceiverProduceIdenticalFactors) {
@@ -341,9 +346,9 @@ TEST(MixedCholesky, SenderAndReceiverProduceIdenticalFactors) {
        {ConversionPlacement::Sender, ConversionPlacement::Receiver}) {
     auto t = TiledSymmetricMatrix::from_dense(
         a, nb, make_band_policy(4, PrecisionVariant::DP_HP));
-    CholeskyOptions opt;
+    runtime::RtCholeskyOptions opt;
     opt.placement = placement;
-    cholesky_tiled(t, opt);
+    runtime::cholesky_tiled_parallel(t, opt);
     factors[idx++] = t.to_dense(true);
   }
   for (index_t i = 0; i < n; ++i) {
@@ -356,7 +361,8 @@ TEST(MixedCholesky, SenderAndReceiverProduceIdenticalFactors) {
 TEST(MixedCholesky, MatchesDenseCholeskyInDp) {
   const index_t n = 150;
   Matrix a = decaying_spd(n);
-  const Matrix l_tiled = cholesky_mixed_dense(a, 48, PrecisionVariant::DP);
+  const Matrix l_tiled =
+      runtime::cholesky_mixed_dense(a, 48, PrecisionVariant::DP);
   Matrix l_dense = a;
   cholesky_dense(l_dense);
   for (index_t i = 0; i < n; ++i) {
@@ -367,22 +373,28 @@ TEST(MixedCholesky, MatchesDenseCholeskyInDp) {
 }
 
 TEST(MixedCholesky, ThrowsOnIndefiniteMatrix) {
+  // The runtime surfaces the failed pivot as a structured TaskFailure naming
+  // the first diagonal tile, not as a bare NumericalError.
   Matrix a(64, 64);
   for (index_t i = 0; i < 64; ++i) a(i, i) = -1.0;
-  EXPECT_THROW(cholesky_mixed_dense(a, 32, PrecisionVariant::DP),
-               NumericalError);
+  try {
+    runtime::cholesky_mixed_dense(a, 32, PrecisionVariant::DP);
+    FAIL() << "expected TaskFailure";
+  } catch (const runtime::TaskFailure& e) {
+    EXPECT_EQ(e.kind(), "POTRF");
+    EXPECT_EQ(e.row(), 0);
+    EXPECT_EQ(e.col(), 0);
+  }
 }
 
 TEST(MixedCholesky, StatsAccumulateTimings) {
   Matrix a = decaying_spd(256);
-  CholeskyStats stats;
-  cholesky_mixed_dense(a, 64, PrecisionVariant::DP_HP, &stats);
-  EXPECT_GT(stats.seconds, 0.0);
-  EXPECT_GT(stats.flops, 0.0);
-  EXPECT_GT(stats.gflops_per_second(), 0.0);
-  EXPECT_GT(stats.gemm_seconds + stats.trsm_seconds + stats.syrk_seconds +
-                stats.potrf_seconds,
-            0.0);
+  auto t = TiledSymmetricMatrix::from_dense(
+      a, 64, make_band_policy(4, PrecisionVariant::DP_HP));
+  const runtime::RtCholeskyResult result = runtime::cholesky_tiled_parallel(t);
+  EXPECT_GT(result.run.seconds, 0.0);
+  EXPECT_GT(result.run.busy_seconds, 0.0);
+  EXPECT_EQ(result.run.tasks_executed, result.total_tasks);
 }
 
 // ---------- solve helpers --------------------------------------------------------

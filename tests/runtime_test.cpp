@@ -312,23 +312,23 @@ INSTANTIATE_TEST_SUITE_P(
         RtCase{linalg::PrecisionVariant::DP_HP,
                linalg::ConversionPlacement::Sender, 24, 5e-3}));
 
-TEST(RtCholesky, MatchesSequentialEngineExactly) {
-  // The runtime version must produce bit-identical factors to the sequential
-  // engine (same kernels, same order per tile).
+TEST(RtCholesky, OneThreadMatchesEightThreadsExactly) {
+  // threads = 1 is the sequential schedule; eight threads must reproduce its
+  // factor bit for bit (same kernels, same update order per tile).
   const index_t n = 192;
   const index_t nb = 48;
   const index_t nt = (n + nb - 1) / nb;
   linalg::Matrix a = decaying_spd(n);
-  auto seq = linalg::TiledSymmetricMatrix::from_dense(
-      a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
-  linalg::cholesky_tiled(seq);
-  auto par = linalg::TiledSymmetricMatrix::from_dense(
-      a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
-  RtCholeskyOptions opt;
-  opt.threads = 8;
-  cholesky_tiled_parallel(par, opt);
-  const linalg::Matrix l1 = seq.to_dense(true);
-  const linalg::Matrix l2 = par.to_dense(true);
+  auto factor = [&](unsigned threads) {
+    auto t = linalg::TiledSymmetricMatrix::from_dense(
+        a, nb, linalg::make_band_policy(nt, linalg::PrecisionVariant::DP_HP));
+    RtCholeskyOptions opt;
+    opt.threads = threads;
+    cholesky_tiled_parallel(t, opt);
+    return t.to_dense(true);
+  };
+  const linalg::Matrix l1 = factor(1);
+  const linalg::Matrix l2 = factor(8);
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j <= i; ++j) {
       EXPECT_EQ(l1(i, j), l2(i, j)) << i << "," << j;

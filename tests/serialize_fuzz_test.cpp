@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "core/emulator.hpp"
 #include "core/serialize.hpp"
-#include "linalg/cholesky.hpp"
+#include "linalg/precision_policy.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/checkpoint.hpp"
 
