@@ -38,7 +38,11 @@ run() { echo "+ $*" >&2; "$@"; }
 #     the checksummed, quarantine-aware io layer;
 #   * the tile-factorization kernels (potrf/trsm/syrk/gemm) are called in
 #     src/ only from runtime/tiled_cholesky_rt.cpp — one tiled Cholesky
-#     engine, so a second copy cannot creep back in.
+#     engine, so a second copy cannot creep back in;
+#   * the packed sampling kernel (sample_apply_packed) is called in src/ only
+#     from runtime/sampling_dag.cpp, and the dense sample_mvn has no caller
+#     in src/ outside linalg/solve.* (it is the reference tests compare
+#     against) — one sampling engine for serving and emulation.
 lint() {
   local fail=0
 
@@ -93,6 +97,23 @@ lint() {
           || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: tile Cholesky kernel called outside runtime/tiled_cholesky_rt.cpp:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bsample_apply_packed\(' src \
+          | grep -vE '^src/(runtime/sampling_dag\.cpp|linalg/kernels\.(hpp|cpp)):' \
+          || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: sample_apply_packed called outside runtime/sampling_dag.cpp:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bsample_mvn\(' src \
+          | grep -vE '^src/linalg/solve\.(hpp|cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: sample_mvn called in src/ (draw through runtime::sample_panel):" >&2
     echo "$hits" >&2
     fail=1
   fi

@@ -20,4 +20,13 @@ runtime::RtCholeskyOptions cholesky_options(const EmulatorConfig& config) {
   return opt;
 }
 
+runtime::SchedulerOptions sampling_options(const EmulatorConfig& config) {
+  runtime::SchedulerOptions opt;
+  opt.threads = config.threads;
+  opt.stall_timeout_seconds = config.stall_timeout_seconds;
+  opt.stall_grace_seconds = config.stall_grace_seconds;
+  opt.verify = config.verify_mode;
+  return opt;
+}
+
 }  // namespace exaclim::core

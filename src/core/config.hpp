@@ -11,6 +11,7 @@
 
 namespace exaclim::runtime {
 struct RtCholeskyOptions;
+struct SchedulerOptions;
 }  // namespace exaclim::runtime
 
 namespace exaclim::core {
@@ -80,5 +81,9 @@ struct EmulatorConfig {
 /// tolerance, checkpointing, stall watchdog and DAG verification, all taken
 /// from `config`. Every trainer goes through this one mapping.
 runtime::RtCholeskyOptions cholesky_options(const EmulatorConfig& config);
+
+/// The scheduler options emulation draws its innovation panels with
+/// (threads, stall watchdog, DAG verification), mapped like cholesky_options.
+runtime::SchedulerOptions sampling_options(const EmulatorConfig& config);
 
 }  // namespace exaclim::core

@@ -1,5 +1,6 @@
 #include "core/emulator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -7,8 +8,9 @@
 #include "climate/validate.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
-#include "linalg/solve.hpp"
+#include "runtime/sampling_dag.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 #include "sht/packing.hpp"
 #include "stats/covariance.hpp"
@@ -210,96 +212,119 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
   return report;
 }
 
-climate::ClimateDataset ClimateEmulator::emulate(
+std::vector<climate::ClimateDataset> emulate_variables(
+    const EmulatorConfig& config, const sht::SHTPlan& plan,
+    std::span<const std::vector<stats::TrendModel>> trend,
+    std::span<const std::vector<double>> nugget_var,
+    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
     index_t num_steps, index_t num_ensembles,
-    std::span<const double> annual_forcing, std::uint64_t seed) const {
-  EXACLIM_CHECK(trained_, "emulator has not been trained");
+    std::span<const double> annual_forcing, std::uint64_t seed) {
   EXACLIM_CHECK(num_steps >= 1 && num_ensembles >= 1,
                 "need at least one step and one ensemble");
-  const index_t tau = config_.steps_per_year;
+  const index_t tau = config.steps_per_year;
   EXACLIM_CHECK(static_cast<index_t>(annual_forcing.size()) >=
                     (num_steps + tau - 1) / tau,
                 "forcing trajectory shorter than requested emulation");
-  const index_t L = config_.band_limit;
+  const index_t L = config.band_limit;
   const index_t n_coeff = sh_coeff_count(L);
-  const index_t num_points = grid_.num_points();
-  const index_t P = config_.ar_order;
-  const index_t burn = config_.emulation_burn_in + P;
+  const auto num_vars = static_cast<index_t>(trend.size());
+  const index_t n = factor.rows();
+  const index_t num_points = plan.grid().num_points();
+  const index_t P = config.ar_order;
+  const index_t burn = config.emulation_burn_in + P;
+  const index_t total = burn + num_steps;
 
-  climate::ClimateDataset out(grid_, num_steps, num_ensembles, tau);
+  // Trend series m_t per variable and point, shared across members.
+  std::vector<climate::ClimateDataset> out;
+  std::vector<std::vector<std::vector<double>>> trend_series;  // [v][p][t]
+  for (const auto& var_trend : trend) {
+    out.emplace_back(plan.grid(), num_steps, num_ensembles, tau);
+    auto& per_point =
+        trend_series.emplace_back(static_cast<std::size_t>(num_points));
+    common::parallel_for(0, num_points, [&](index_t p) {
+      per_point[static_cast<std::size_t>(p)] = stats::trend_series(
+          var_trend[static_cast<std::size_t>(p)], num_steps, annual_forcing);
+    });
+  }
 
-  // Trend series are shared across ensembles; compute once in parallel.
-  std::vector<std::vector<double>> trend_series_per_point(
-      static_cast<std::size_t>(num_points));
-  common::parallel_for(0, num_points, [&](index_t p) {
-    trend_series_per_point[static_cast<std::size_t>(p)] =
-        stats::trend_series(trend_[static_cast<std::size_t>(p)], num_steps,
-                            annual_forcing);
-  });
+  const std::vector<double> packed = linalg::pack_lower(factor);
+  const linalg::PackedFactorView view{
+      reinterpret_cast<const unsigned char*>(packed.data()),
+      packed.size() * sizeof(double), n, linalg::PackedStorage::F64};
+  runtime::SamplingDagOptions dag_options;
+  dag_options.tile = config.tile_size;
+  const runtime::SchedulerOptions sched = sampling_options(config);
+  runtime::SamplePanel panel;
+  std::vector<std::uint64_t> stream_ids;
+  const common::Rng master(seed);
 
-  common::Rng master(seed);
+  // Row s holds the VAR state of step s - burn; rows [0, burn) are burn-in.
+  linalg::Matrix state(total, n);
   for (index_t r = 0; r < num_ensembles; ++r) {
-    common::Rng rng = master.split(static_cast<std::uint64_t>(r) + 0x5151);
-
-    // VAR forward pass with burn-in (sequential in t, vectorized over c).
-    linalg::Matrix coeff_series(num_steps, n_coeff);
-    std::vector<std::vector<double>> history(
-        static_cast<std::size_t>(P),
-        std::vector<double>(static_cast<std::size_t>(n_coeff), 0.0));
-    std::vector<double> current(static_cast<std::size_t>(n_coeff));
-    for (index_t t = -burn; t < num_steps; ++t) {
-      const std::vector<double> innovation = linalg::sample_mvn(factor_, rng);
-      for (index_t c = 0; c < n_coeff; ++c) {
-        double v = innovation[static_cast<std::size_t>(c)];
-        const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
-        for (index_t a = 0; a < P; ++a) {
-          v += phi[static_cast<std::size_t>(a)]
-               * history[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)];
+    // Innovations do not depend on the VAR state, so up to 64 steps are
+    // drawn as one panel and the VAR then runs forward through them.
+    for (index_t s0 = 0; s0 < total; s0 += runtime::BatchControl::kMaxBatch) {
+      const index_t width =
+          std::min(runtime::BatchControl::kMaxBatch, total - s0);
+      stream_ids.resize(static_cast<std::size_t>(width));
+      for (index_t j = 0; j < width; ++j) {
+        stream_ids[static_cast<std::size_t>(j)] = runtime::emulation_stream_id(
+            runtime::EmulationStream::Innovation, r, s0 + j);
+      }
+      runtime::sample_panel(view, seed, stream_ids, panel, nullptr,
+                            dag_options, sched);
+      for (index_t j = 0; j < width; ++j) {
+        const index_t s = s0 + j;
+        for (index_t c = 0; c < n; ++c) {
+          const auto& phi = ar[static_cast<std::size_t>(c)].phi;
+          double value = panel.x[static_cast<std::size_t>(c * width + j)];
+          for (index_t a = 0; a < std::min(P, s); ++a) {
+            value += phi[static_cast<std::size_t>(a)] * state(s - 1 - a, c);
+          }
+          state(s, c) = value;
         }
-        current[static_cast<std::size_t>(c)] = v;
-      }
-      // Shift history (oldest last).
-      for (index_t a = P - 1; a >= 1; --a) {
-        history[static_cast<std::size_t>(a)] =
-            history[static_cast<std::size_t>(a - 1)];
-      }
-      if (P >= 1) history[0] = current;
-      if (t >= 0) {
-        std::copy(current.begin(), current.end(),
-                  coeff_series.data() + static_cast<std::size_t>(t) *
-                                            static_cast<std::size_t>(n_coeff));
       }
     }
-
-    // Per-step nugget seeds so synthesis can run in parallel.
-    std::vector<std::uint64_t> nugget_seeds(static_cast<std::size_t>(num_steps));
-    for (auto& s : nugget_seeds) s = rng.next_u64();
 
     common::parallel_for(
         0, num_steps,
         [&](index_t t) {
-          std::vector<double> packed(
-              coeff_series.row(t).begin(),
-              coeff_series.row(t).end());
-          const std::vector<cplx> coeffs = sht::unpack_real(L, packed);
-          std::vector<double> field = plan_->synthesize(coeffs);
-          common::Rng nug(nugget_seeds[static_cast<std::size_t>(t)]);
-          auto dst = out.field(r, t);
-          for (index_t p = 0; p < num_points; ++p) {
-            double z = field[static_cast<std::size_t>(p)];
-            z += std::sqrt(nugget_var_[static_cast<std::size_t>(p)]) *
-                 nug.normal();
-            const auto& tm = trend_[static_cast<std::size_t>(p)];
-            dst[static_cast<std::size_t>(p)] =
-                trend_series_per_point[static_cast<std::size_t>(p)]
-                                      [static_cast<std::size_t>(t)] +
-                tm.sigma * z;
+          // One nugget stream per (member, step), drawn variable by variable.
+          common::Rng nug = master.split(runtime::emulation_stream_id(
+              runtime::EmulationStream::Nugget, r, t));
+          const auto row = state.row(burn + t);
+          for (index_t v = 0; v < num_vars; ++v) {
+            const std::vector<double> coeffs(row.begin() + v * n_coeff,
+                                             row.begin() + (v + 1) * n_coeff);
+            const std::vector<double> field =
+                plan.synthesize(sht::unpack_real(L, coeffs));
+            const auto& var_trend = trend[static_cast<std::size_t>(v)];
+            const auto& var_nugget = nugget_var[static_cast<std::size_t>(v)];
+            const auto& series = trend_series[static_cast<std::size_t>(v)];
+            auto dst = out[static_cast<std::size_t>(v)].field(r, t);
+            for (index_t p = 0; p < num_points; ++p) {
+              const auto q = static_cast<std::size_t>(p);
+              const double z =
+                  field[q] + std::sqrt(var_nugget[q]) * nug.normal();
+              dst[q] = series[q][static_cast<std::size_t>(t)] +
+                       var_trend[q].sigma * z;
+            }
           }
         },
-        config_.threads == 0 ? common::default_thread_count()
-                             : config_.threads);
+        config.threads == 0 ? common::default_thread_count()
+                            : config.threads);
   }
   return out;
+}
+
+climate::ClimateDataset ClimateEmulator::emulate(
+    index_t num_steps, index_t num_ensembles,
+    std::span<const double> annual_forcing, std::uint64_t seed) const {
+  EXACLIM_CHECK(trained_, "emulator has not been trained");
+  auto out = emulate_variables(config_, *plan_, {&trend_, 1}, {&nugget_var_, 1},
+                               ar_, factor_, num_steps, num_ensembles,
+                               annual_forcing, seed);
+  return std::move(out.front());
 }
 
 void ClimateEmulator::restore(sht::GridShape grid,

@@ -10,11 +10,14 @@
 //      the ensemble.
 //   4. Innovation covariance U-hat (Eq. 9) with diagonal perturbation when
 //      rank deficient, then mixed-precision tiled Cholesky U = V V^T.
-// Emulation (Section III-B): xi ~ N(0, U) via V, VAR forward pass, inverse
-// SHT, add epsilon, scale by sigma, add m_t.
+// Emulation (Section III-B; emulate_variables, shared with the multivariate
+// emulator): xi ~ N(0, U) drawn through V in panels of up to 64 steps by the
+// serving engine (runtime::sample_panel), one stream per (member, step); VAR
+// forward pass, inverse SHT, add epsilon, scale by sigma, add m_t.
 //
 // All per-point / per-slot / per-coefficient stages run through
-// common::parallel_for; the Cholesky runs on the task runtime.
+// common::parallel_for; the Cholesky and the innovation panels run on the
+// task runtime.
 #pragma once
 
 #include <memory>
@@ -98,5 +101,16 @@ class ClimateEmulator {
   std::vector<double> nugget_var_;        ///< v^2 per grid point
   std::shared_ptr<const sht::SHTPlan> plan_;  ///< rebuilt on train/restore
 };
+
+/// The emulation step of both emulators, for V = trend.size() variables
+/// (result[v] is variable v); `ar` and `factor` span the joint, variable-major
+/// V * L^2 state. Byte-identical at any config.threads or config.tile_size.
+std::vector<climate::ClimateDataset> emulate_variables(
+    const EmulatorConfig& config, const sht::SHTPlan& plan,
+    std::span<const std::vector<stats::TrendModel>> trend,
+    std::span<const std::vector<double>> nugget_var,
+    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    index_t num_steps, index_t num_ensembles,
+    std::span<const double> annual_forcing, std::uint64_t seed);
 
 }  // namespace exaclim::core

@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
-#include "linalg/solve.hpp"
+#include "core/emulator.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 #include "sht/packing.hpp"
 #include "stats/covariance.hpp"
@@ -230,97 +230,8 @@ std::vector<climate::ClimateDataset> MultiVariateEmulator::emulate(
     index_t num_steps, index_t num_ensembles,
     std::span<const double> annual_forcing, std::uint64_t seed) const {
   EXACLIM_CHECK(trained_, "emulator has not been trained");
-  const index_t L = config_.band_limit;
-  const index_t n_coeff = sh_coeff_count(L);
-  const index_t joint_dim = num_variables_ * n_coeff;
-  const index_t num_points = grid_.num_points();
-  const index_t P = config_.ar_order;
-  const index_t burn = config_.emulation_burn_in + P;
-  const index_t tau = config_.steps_per_year;
-  EXACLIM_CHECK(static_cast<index_t>(annual_forcing.size()) >=
-                    (num_steps + tau - 1) / tau,
-                "forcing trajectory shorter than requested emulation");
-
-  std::vector<climate::ClimateDataset> out;
-  out.reserve(static_cast<std::size_t>(num_variables_));
-  for (index_t v = 0; v < num_variables_; ++v) {
-    out.emplace_back(grid_, num_steps, num_ensembles, tau);
-  }
-
-  // Per-variable trend series (shared across ensembles).
-  std::vector<std::vector<std::vector<double>>> trend_series(
-      static_cast<std::size_t>(num_variables_));
-  for (index_t v = 0; v < num_variables_; ++v) {
-    auto& per_point = trend_series[static_cast<std::size_t>(v)];
-    per_point.resize(static_cast<std::size_t>(num_points));
-    common::parallel_for(0, num_points, [&](index_t p) {
-      per_point[static_cast<std::size_t>(p)] = stats::trend_series(
-          trend_[static_cast<std::size_t>(v)][static_cast<std::size_t>(p)],
-          num_steps, annual_forcing);
-    });
-  }
-
-  common::Rng master(seed);
-  for (index_t r = 0; r < num_ensembles; ++r) {
-    common::Rng rng = master.split(static_cast<std::uint64_t>(r) + 0xC0FFEE);
-    linalg::Matrix coeff_series(num_steps, joint_dim);
-    std::vector<std::vector<double>> history(
-        static_cast<std::size_t>(P),
-        std::vector<double>(static_cast<std::size_t>(joint_dim), 0.0));
-    std::vector<double> current(static_cast<std::size_t>(joint_dim));
-    for (index_t t = -burn; t < num_steps; ++t) {
-      const std::vector<double> innovation = linalg::sample_mvn(factor_, rng);
-      for (index_t c = 0; c < joint_dim; ++c) {
-        double value = innovation[static_cast<std::size_t>(c)];
-        const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
-        for (index_t a = 0; a < P; ++a) {
-          value += phi[static_cast<std::size_t>(a)]
-                   * history[static_cast<std::size_t>(a)][static_cast<std::size_t>(c)];
-        }
-        current[static_cast<std::size_t>(c)] = value;
-      }
-      for (index_t a = P - 1; a >= 1; --a) {
-        history[static_cast<std::size_t>(a)] =
-            history[static_cast<std::size_t>(a - 1)];
-      }
-      if (P >= 1) history[0] = current;
-      if (t >= 0) {
-        std::copy(current.begin(), current.end(),
-                  coeff_series.data() + static_cast<std::size_t>(t) *
-                                            static_cast<std::size_t>(joint_dim));
-      }
-    }
-
-    std::vector<std::uint64_t> nugget_seeds(static_cast<std::size_t>(num_steps));
-    for (auto& s : nugget_seeds) s = rng.next_u64();
-
-    common::parallel_for(
-        0, num_steps,
-        [&](index_t t) {
-          common::Rng nug(nugget_seeds[static_cast<std::size_t>(t)]);
-          for (index_t v = 0; v < num_variables_; ++v) {
-            std::vector<double> packed(
-                coeff_series.row(t).begin() + v * n_coeff,
-                coeff_series.row(t).begin() + (v + 1) * n_coeff);
-            const auto coeffs = sht::unpack_real(L, packed);
-            const auto field = plan_->synthesize(coeffs);
-            auto dst = out[static_cast<std::size_t>(v)].field(r, t);
-            const auto& nugget = nugget_var_[static_cast<std::size_t>(v)];
-            const auto& tm_all = trend_[static_cast<std::size_t>(v)];
-            const auto& series =
-                trend_series[static_cast<std::size_t>(v)];
-            for (index_t p = 0; p < num_points; ++p) {
-              double z = field[static_cast<std::size_t>(p)];
-              z += std::sqrt(nugget[static_cast<std::size_t>(p)]) * nug.normal();
-              dst[static_cast<std::size_t>(p)] =
-                  series[static_cast<std::size_t>(p)][static_cast<std::size_t>(t)] +
-                  tm_all[static_cast<std::size_t>(p)].sigma * z;
-            }
-          }
-        },
-        config_.threads == 0 ? common::default_thread_count() : config_.threads);
-  }
-  return out;
+  return emulate_variables(config_, *plan_, trend_, nugget_var_, ar_, factor_,
+                           num_steps, num_ensembles, annual_forcing, seed);
 }
 
 }  // namespace exaclim::core

@@ -38,23 +38,14 @@ struct Header {
 void write_factor(common::ByteWriter& out, const linalg::Matrix& v,
                   FactorStorage storage) {
   const index_t n = v.rows();
+  const std::vector<double> packed = linalg::pack_lower(v);
   switch (storage) {
-    case FactorStorage::FP64: {
-      std::vector<double> row;
-      for (index_t i = 0; i < n; ++i) {
-        row.assign(v.row(i).begin(), v.row(i).begin() + i + 1);
-        out.raw(row.data(), row.size() * sizeof(double));
-      }
+    case FactorStorage::FP64:
+      out.raw(packed.data(), packed.size() * sizeof(double));
       break;
-    }
     case FactorStorage::FP32: {
-      std::vector<float> row;
-      for (index_t i = 0; i < n; ++i) {
-        row.resize(static_cast<std::size_t>(i + 1));
-        for (index_t j = 0; j <= i; ++j) row[static_cast<std::size_t>(j)] =
-            static_cast<float>(v(i, j));
-        out.raw(row.data(), row.size() * sizeof(float));
-      }
+      const std::vector<float> narrow(packed.begin(), packed.end());
+      out.raw(narrow.data(), narrow.size() * sizeof(float));
       break;
     }
     case FactorStorage::FP16Scaled: {
@@ -81,28 +72,31 @@ void write_factor(common::ByteWriter& out, const linalg::Matrix& v,
   }
 }
 
-linalg::Matrix read_factor(common::ByteReader& in, index_t n,
-                           FactorStorage storage) {
+void expect_end(const common::ByteReader& in, const char* section) {
+  if (!in.at_end()) {
+    throw IoError(std::string("corrupt model file: ") + section +
+                  " section has trailing bytes (at byte offset " +
+                  std::to_string(in.offset()) + ")");
+  }
+}
+
+/// Reads packed lower-triangle rows of T into square `v`.
+template <typename T>
+void read_rows(common::ByteReader& in, linalg::Matrix& v) {
+  std::vector<T> row;
+  for (index_t i = 0; i < v.rows(); ++i) {
+    row.resize(static_cast<std::size_t>(i + 1));
+    in.raw(row.data(), row.size() * sizeof(T));
+    for (index_t j = 0; j <= i; ++j) v(i, j) = row[static_cast<std::size_t>(j)];
+  }
+}
+
+linalg::Matrix decode_factor(common::ByteReader in, index_t n,
+                             FactorStorage storage) {
   linalg::Matrix v(n, n);
   switch (storage) {
-    case FactorStorage::FP64: {
-      std::vector<double> row;
-      for (index_t i = 0; i < n; ++i) {
-        row.resize(static_cast<std::size_t>(i + 1));
-        in.raw(row.data(), row.size() * sizeof(double));
-        for (index_t j = 0; j <= i; ++j) v(i, j) = row[static_cast<std::size_t>(j)];
-      }
-      break;
-    }
-    case FactorStorage::FP32: {
-      std::vector<float> row;
-      for (index_t i = 0; i < n; ++i) {
-        row.resize(static_cast<std::size_t>(i + 1));
-        in.raw(row.data(), row.size() * sizeof(float));
-        for (index_t j = 0; j <= i; ++j) v(i, j) = row[static_cast<std::size_t>(j)];
-      }
-      break;
-    }
+    case FactorStorage::FP64: read_rows<double>(in, v); break;
+    case FactorStorage::FP32: read_rows<float>(in, v); break;
     case FactorStorage::FP16Scaled: {
       std::vector<std::uint16_t> row;
       for (index_t i = 0; i < n; ++i) {
@@ -118,6 +112,7 @@ linalg::Matrix read_factor(common::ByteReader& in, index_t n,
       break;
     }
   }
+  expect_end(in, "factor");
   return v;
 }
 
@@ -132,6 +127,66 @@ FactorStorage check_header(const Header& header) {
                   std::to_string(header.factor_storage));
   }
   return static_cast<FactorStorage>(header.factor_storage);
+}
+
+// Trend/AR/nugget decoders, shared by load_emulator and FrozenModel.
+
+std::vector<stats::TrendModel> decode_trend(common::ByteReader in,
+                                            index_t num_points,
+                                            index_t steps_per_year) {
+  std::vector<stats::TrendModel> trend(static_cast<std::size_t>(num_points));
+  for (auto& tm : trend) {
+    double scalars[5];
+    in.raw(scalars, sizeof(scalars));
+    tm.beta0 = scalars[0];
+    tm.beta1 = scalars[1];
+    tm.beta2 = scalars[2];
+    tm.rho = scalars[3];
+    tm.sigma = scalars[4];
+    tm.cos_coeff = in.vec64<double>();
+    tm.sin_coeff = in.vec64<double>();
+    tm.period = steps_per_year;
+  }
+  expect_end(in, "trend");
+  return trend;
+}
+
+std::vector<stats::ArModel> decode_ar(common::ByteReader in, index_t count) {
+  std::vector<stats::ArModel> ar(static_cast<std::size_t>(count));
+  for (auto& am : ar) {
+    am.phi = in.vec64<double>();
+    am.innovation_variance = in.pod<double>();
+  }
+  expect_end(in, "AR");
+  return ar;
+}
+
+std::vector<double> decode_nugget(common::ByteReader in, index_t num_points) {
+  const std::size_t at = in.offset();
+  std::vector<double> nugget = in.vec64<double>();
+  if (static_cast<index_t>(nugget.size()) != num_points) {
+    throw IoError("corrupt model file: nugget section holds " +
+                  std::to_string(nugget.size()) + " values but the grid has " +
+                  std::to_string(num_points) + " points (at byte offset " +
+                  std::to_string(at) + ")");
+  }
+  expect_end(in, "nugget");
+  return nugget;
+}
+
+/// Builds a FrozenModel lazy member once (see the member comment in
+/// serialize.hpp for why not std::call_once).
+template <typename T, typename Build>
+const T& build_once(std::mutex& mu, std::atomic<bool>& ready, T& value,
+                    Build&& build) {
+  if (!ready.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!ready.load(std::memory_order_acquire)) {
+      value = build();
+      ready.store(true, std::memory_order_release);
+    }
+  }
+  return value;
 }
 
 linalg::PackedStorage to_packed(FactorStorage storage) {
@@ -201,54 +256,14 @@ ClimateEmulator load_emulator(const std::string& path) {
 
   ClimateEmulator emulator(cfg);
 
-  common::ByteReader tr = file.section(kSectionTrend);
-  std::vector<stats::TrendModel> trend(
-      static_cast<std::size_t>(grid.num_points()));
-  for (auto& tm : trend) {
-    double scalars[5];
-    tr.raw(scalars, sizeof(scalars));
-    tm.beta0 = scalars[0];
-    tm.beta1 = scalars[1];
-    tm.beta2 = scalars[2];
-    tm.rho = scalars[3];
-    tm.sigma = scalars[4];
-    tm.cos_coeff = tr.vec64<double>();
-    tm.sin_coeff = tr.vec64<double>();
-    tm.period = cfg.steps_per_year;
-  }
-  if (!tr.at_end()) {
-    throw IoError("corrupt model file: trend section has trailing bytes (at "
-                  "byte offset " +
-                  std::to_string(tr.offset()) + ")");
-  }
-
-  common::ByteReader ar_reader = file.section(kSectionAr);
-  std::vector<stats::ArModel> ar(
-      static_cast<std::size_t>(sh_coeff_count(cfg.band_limit)));
-  for (auto& am : ar) {
-    am.phi = ar_reader.vec64<double>();
-    am.innovation_variance = ar_reader.pod<double>();
-  }
-  if (!ar_reader.at_end()) {
-    throw IoError("corrupt model file: AR section has trailing bytes (at "
-                  "byte offset " +
-                  std::to_string(ar_reader.offset()) + ")");
-  }
-
-  common::ByteReader fr = file.section(kSectionFactor);
-  linalg::Matrix factor =
-      read_factor(fr, sh_coeff_count(cfg.band_limit), storage);
-  if (!fr.at_end()) {
-    throw IoError("corrupt model file: factor section has trailing bytes (at "
-                  "byte offset " +
-                  std::to_string(fr.offset()) + ")");
-  }
-
-  common::ByteReader nr = file.section(kSectionNugget);
-  std::vector<double> nugget = nr.vec64<double>();
-
-  emulator.restore(grid, std::move(trend), std::move(ar), std::move(factor),
-                   std::move(nugget));
+  const index_t n_coeff = sh_coeff_count(cfg.band_limit);
+  emulator.restore(
+      grid,
+      decode_trend(file.section(kSectionTrend), grid.num_points(),
+                   cfg.steps_per_year),
+      decode_ar(file.section(kSectionAr), n_coeff),
+      decode_factor(file.section(kSectionFactor), n_coeff, storage),
+      decode_nugget(file.section(kSectionNugget), grid.num_points()));
   return emulator;
 }
 
@@ -298,22 +313,17 @@ linalg::PackedFactorView FrozenModel::degraded_factor() const {
     return factor();
   }
   const linalg::PackedFactorView native = factor();
-  if (!degraded_built_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    if (!degraded_built_.load(std::memory_order_acquire)) {
-      const std::size_t count =
-          static_cast<std::size_t>(factor_dim_) *
-          static_cast<std::size_t>(factor_dim_ + 1) / 2;
-      std::vector<unsigned char> copy(count * sizeof(float));
-      const auto* src = reinterpret_cast<const double*>(native.bytes);
-      auto* dst = reinterpret_cast<float*>(copy.data());
-      for (std::size_t i = 0; i < count; ++i) {
-        dst[i] = static_cast<float>(src[i]);
-      }
-      degraded_ = std::move(copy);
-      degraded_built_.store(true, std::memory_order_release);
+  build_once(lazy_mu_, degraded_built_, degraded_, [&] {
+    const std::size_t count = static_cast<std::size_t>(factor_dim_) *
+                              static_cast<std::size_t>(factor_dim_ + 1) / 2;
+    std::vector<unsigned char> copy(count * sizeof(float));
+    const auto* src = reinterpret_cast<const double*>(native.bytes);
+    auto* dst = reinterpret_cast<float*>(copy.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      dst[i] = static_cast<float>(src[i]);
     }
-  }
+    return copy;
+  });
   linalg::PackedFactorView view;
   view.bytes = degraded_.data();
   view.size_bytes = degraded_.size();
@@ -327,58 +337,22 @@ bool FrozenModel::degraded_plane_materialized() const {
 }
 
 const std::vector<stats::TrendModel>& FrozenModel::trend_models() const {
-  if (!trend_ready_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    if (!trend_ready_.load(std::memory_order_acquire)) {
-      common::ByteReader tr = file_.section(kSectionTrend);
-      std::vector<stats::TrendModel> trend(
-          static_cast<std::size_t>(grid_.num_points()));
-      for (auto& tm : trend) {
-        double scalars[5];
-        tr.raw(scalars, sizeof(scalars));
-        tm.beta0 = scalars[0];
-        tm.beta1 = scalars[1];
-        tm.beta2 = scalars[2];
-        tm.rho = scalars[3];
-        tm.sigma = scalars[4];
-        tm.cos_coeff = tr.vec64<double>();
-        tm.sin_coeff = tr.vec64<double>();
-        tm.period = steps_per_year_;
-      }
-      trend_ = std::move(trend);
-      trend_ready_.store(true, std::memory_order_release);
-    }
-  }
-  return trend_;
+  return build_once(lazy_mu_, trend_ready_, trend_, [&] {
+    return decode_trend(file_.section(kSectionTrend), grid_.num_points(),
+                        steps_per_year_);
+  });
 }
 
 const std::vector<stats::ArModel>& FrozenModel::ar_models() const {
-  if (!ar_ready_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    if (!ar_ready_.load(std::memory_order_acquire)) {
-      common::ByteReader ar_reader = file_.section(kSectionAr);
-      std::vector<stats::ArModel> ar(static_cast<std::size_t>(factor_dim_));
-      for (auto& am : ar) {
-        am.phi = ar_reader.vec64<double>();
-        am.innovation_variance = ar_reader.pod<double>();
-      }
-      ar_ = std::move(ar);
-      ar_ready_.store(true, std::memory_order_release);
-    }
-  }
-  return ar_;
+  return build_once(lazy_mu_, ar_ready_, ar_, [&] {
+    return decode_ar(file_.section(kSectionAr), factor_dim_);
+  });
 }
 
 const std::vector<double>& FrozenModel::nugget_variance() const {
-  if (!nugget_ready_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    if (!nugget_ready_.load(std::memory_order_acquire)) {
-      common::ByteReader nr = file_.section(kSectionNugget);
-      nugget_ = nr.vec64<double>();
-      nugget_ready_.store(true, std::memory_order_release);
-    }
-  }
-  return nugget_;
+  return build_once(lazy_mu_, nugget_ready_, nugget_, [&] {
+    return decode_nugget(file_.section(kSectionNugget), grid_.num_points());
+  });
 }
 
 }  // namespace exaclim::core

@@ -137,4 +137,13 @@ double cholesky_residual(const Matrix& a, const Matrix& l) {
   return den > 0.0 ? std::sqrt(num) / den : std::sqrt(num);
 }
 
+std::vector<double> pack_lower(const Matrix& a) {
+  EXACLIM_CHECK(a.rows() == a.cols(), "matrix must be square");
+  std::vector<double> packed;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    packed.insert(packed.end(), a.row(i).begin(), a.row(i).begin() + i + 1);
+  }
+  return packed;
+}
+
 }  // namespace exaclim::linalg

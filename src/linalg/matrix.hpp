@@ -76,4 +76,8 @@ std::vector<double> backward_substitute(const Matrix& l, std::span<const double>
 /// ||A - L L^T||_F / ||A||_F where L is lower-triangular.
 double cholesky_residual(const Matrix& a, const Matrix& l);
 
+/// Lower triangle of square `a`, row by row: the PackedStorage::F64 layout
+/// of the sampling kernel and of a model file's factor section.
+std::vector<double> pack_lower(const Matrix& a);
+
 }  // namespace exaclim::linalg

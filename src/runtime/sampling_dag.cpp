@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/rng.hpp"
 
 namespace exaclim::runtime {
 
@@ -110,7 +111,9 @@ TaskGraph build_sampling_dag(const linalg::PackedFactorView& factor,
       const std::uint64_t slow_key =
           options.batch_key * 0x9E3779B97F4A7C15ull +
           static_cast<std::uint64_t>(bi * nb + bj);
-      task.fn = [&factor, z, x, k_cols, control, r0, r1, c0, c1, slow_key] {
+      // The view is captured by value: the graph may outlive the caller's
+      // view object (e.g. one built from model.factor()), never its bytes.
+      task.fn = [factor, z, x, k_cols, control, r0, r1, c0, c1, slow_key] {
         // Cooperative cancellation boundary: a column whose deadline has
         // passed is masked out of this and every later block pass. Injected
         // serve latency (slow-task) fires here, inside the task body, after
@@ -136,6 +139,39 @@ TaskGraph build_sampling_dag(const linalg::PackedFactorView& factor,
     }
   }
   return graph;
+}
+
+RunStats sample_panel(const linalg::PackedFactorView& factor,
+                      std::uint64_t seed,
+                      std::span<const std::uint64_t> stream_ids,
+                      SamplePanel& panel, BatchControl* control,
+                      const SamplingDagOptions& dag_options,
+                      const SchedulerOptions& scheduler_options) {
+  const auto k_cols = static_cast<index_t>(stream_ids.size());
+  const index_t n = factor.n;
+  panel.width = k_cols;
+  panel.z.resize(static_cast<std::size_t>(n * k_cols));
+  const common::Rng master(seed);
+  for (index_t k = 0; k < k_cols; ++k) {
+    common::Rng stream = master.split(stream_ids[static_cast<std::size_t>(k)]);
+    for (index_t c = 0; c < n; ++c) {
+      panel.z[static_cast<std::size_t>(c * k_cols + k)] = stream.normal();
+    }
+  }
+  panel.x.assign(static_cast<std::size_t>(n * k_cols), 0.0);
+  const TaskGraph graph = build_sampling_dag(
+      factor, panel.z.data(), panel.x.data(), k_cols, control, dag_options);
+  return execute(graph, scheduler_options);
+}
+
+std::uint64_t emulation_stream_id(EmulationStream kind, index_t member,
+                                  index_t step) {
+  EXACLIM_CHECK(member >= 0 && member < (index_t{1} << 30) && step >= 0 &&
+                    step < (index_t{1} << 32),
+                "emulation stream ids need member < 2^30 and step < 2^32");
+  return (static_cast<std::uint64_t>(kind) << 62) |
+         (static_cast<std::uint64_t>(member) << 32) |
+         static_cast<std::uint64_t>(step);
 }
 
 }  // namespace exaclim::runtime

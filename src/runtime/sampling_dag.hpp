@@ -17,13 +17,18 @@
 // cancellation boundary: a request whose deadline expired stops consuming
 // factor bandwidth at the next tile task, and the surviving columns see the
 // same operations in the same order as if the batch had never been touched.
+//
+// sample_panel, the one sampling engine for serving and emulation, draws
+// column k from Rng(seed).split(stream_ids[k]) (docs/SERVING.md).
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <vector>
 
 #include "linalg/kernels.hpp"
+#include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace exaclim::runtime {
@@ -68,5 +73,31 @@ TaskGraph build_sampling_dag(const linalg::PackedFactorView& factor,
                              const double* z, double* x, index_t k_cols,
                              BatchControl* control,
                              const SamplingDagOptions& options = {});
+
+/// Row-major n x K panels of the last sample_panel call (reused storage).
+struct SamplePanel {
+  std::vector<double> z;  ///< standard-normal columns
+  std::vector<double> x;  ///< correlated draws: column k = L z_k
+  index_t width = 0;      ///< K
+};
+
+/// Draws K = stream_ids.size() (1..64) columns over `factor` on the task
+/// runtime. `control` may be null (see build_sampling_dag).
+RunStats sample_panel(const linalg::PackedFactorView& factor,
+                      std::uint64_t seed,
+                      std::span<const std::uint64_t> stream_ids,
+                      SamplePanel& panel, BatchControl* control,
+                      const SamplingDagOptions& dag_options,
+                      const SchedulerOptions& scheduler_options);
+
+enum class EmulationStream : std::uint64_t {
+  Innovation = 1,  ///< VAR innovation xi for (member, step)
+  Nugget = 2,      ///< nugget noise for (member, step), all variables
+};
+
+/// Stream id of an emulation draw: kind in bits 62-63, member in bits 32-61,
+/// step in bits 0-31 (innovation steps count from the first burn-in step).
+std::uint64_t emulation_stream_id(EmulationStream kind, index_t member,
+                                  index_t step);
 
 }  // namespace exaclim::runtime

@@ -1,7 +1,6 @@
 #include "serve/sampler.hpp"
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace exaclim::serve {
 
@@ -17,41 +16,19 @@ BatchOutcome BatchSampler::run_batch(
   const auto k_cols = static_cast<index_t>(requests.size());
   EXACLIM_CHECK(k_cols >= 1 && k_cols <= runtime::BatchControl::kMaxBatch,
                 "batch width must be in [1, 64]");
-  const index_t n = model_.factor_dim();
-
-  // Column k is drawn from its request's own split stream, in ascending
-  // coefficient order — a pure function of (service seed, request_id),
-  // independent of the co-batched columns.
-  z_.resize(static_cast<std::size_t>(n * k_cols));
-  const common::Rng master(options_.seed);
-  for (index_t k = 0; k < k_cols; ++k) {
-    common::Rng stream =
-        master.split(requests[static_cast<std::size_t>(k)].request_id);
-    for (index_t c = 0; c < n; ++c) {
-      z_[static_cast<std::size_t>(c * k_cols + k)] = stream.normal();
-    }
-  }
-  x_.assign(static_cast<std::size_t>(n * k_cols), 0.0);
-  last_width_ = k_cols;
-
+  std::vector<std::uint64_t> stream_ids;
   runtime::BatchControl control;
-  control.deadlines.resize(static_cast<std::size_t>(k_cols));
-  for (index_t k = 0; k < k_cols; ++k) {
-    control.deadlines[static_cast<std::size_t>(k)] =
-        requests[static_cast<std::size_t>(k)].deadline;
+  for (const SampleRequest& request : requests) {
+    stream_ids.push_back(request.request_id);
+    control.deadlines.push_back(request.deadline);
   }
   // Requests that expired while queued are cancelled before any compute:
   // every tile task sees their bit set from its first poll.
   control.poll(std::chrono::steady_clock::now());
 
-  const linalg::PackedFactorView factor =
-      degraded ? model_.degraded_factor() : model_.factor();
   runtime::SamplingDagOptions dag_options;
   dag_options.tile = options_.tile;
   dag_options.batch_key = batch_key;
-  const runtime::TaskGraph graph = runtime::build_sampling_dag(
-      factor, z_.data(), x_.data(), k_cols, &control, dag_options);
-
   runtime::SchedulerOptions sched;
   sched.threads = options_.threads;
   sched.retry = options_.retry;
@@ -59,7 +36,9 @@ BatchOutcome BatchSampler::run_batch(
   sched.stall_timeout_seconds = options_.stall_timeout_seconds;
 
   BatchOutcome outcome;
-  outcome.stats = runtime::execute(graph, sched);
+  outcome.stats = runtime::sample_panel(
+      degraded ? model_.degraded_factor() : model_.factor(), options_.seed,
+      stream_ids, panel_, &control, dag_options, sched);
   // Report the mask the tasks actually observed — not a fresh poll. A column
   // whose deadline passed after its last tile task completed still holds a
   // full, valid draw; cancellation only invalidates columns some task
@@ -69,10 +48,10 @@ BatchOutcome BatchSampler::run_batch(
 }
 
 void BatchSampler::extract_column(index_t k, double* out) const {
-  EXACLIM_CHECK(k >= 0 && k < last_width_, "no such batch column");
+  EXACLIM_CHECK(k >= 0 && k < panel_.width, "no such batch column");
   const index_t n = model_.factor_dim();
   for (index_t c = 0; c < n; ++c) {
-    out[c] = x_[static_cast<std::size_t>(c * last_width_ + k)];
+    out[c] = panel_.x[static_cast<std::size_t>(c * panel_.width + k)];
   }
 }
 

@@ -2,14 +2,12 @@
 //
 // "Train once, sample millions of times": after the tiled factorization the
 // serving workload is draws x = L z from N(0, L L^T). The BatchSampler
-// coalesces K pending requests into one n x K multi-RHS panel pass over the
-// mmap'd packed factor (linalg::sample_apply_packed via the sampling DAG),
-// so every factor element loaded from memory is amortized across the whole
-// batch. Reproducibility contract: request k's standard-normal column is
-// drawn from Rng(seed).split(request_id) and the DAG fixes the accumulation
-// order, so the same (seed, request_id) yields byte-identical draws no
-// matter the batch width, the co-batched request set, the thread count, or
-// the tile size.
+// coalesces K pending requests into one n x K panel pass over the mmap'd
+// packed factor through runtime::sample_panel (the engine emulation draws
+// through too), adding request deadlines, the degraded plane and column
+// extraction. The request id is the panel stream id, so the same
+// (seed, request_id) yields byte-identical draws at any batch width,
+// co-batched set, thread count or tile size.
 #pragma once
 
 #include <chrono>
@@ -73,9 +71,7 @@ class BatchSampler {
  private:
   const core::FrozenModel& model_;
   SamplerOptions options_;
-  std::vector<double> z_;  ///< row-major n x K standard-normal panel
-  std::vector<double> x_;  ///< row-major n x K correlated-draw panel
-  index_t last_width_ = 0;
+  runtime::SamplePanel panel_;  ///< the last batch's z/x panels
 };
 
 }  // namespace exaclim::serve

@@ -13,6 +13,7 @@
 #include "common/io.hpp"
 #include "common/parallel.hpp"
 #include "core/emulator.hpp"
+#include "core/multivariate.hpp"
 #include "core/serialize.hpp"
 
 namespace {
@@ -159,6 +160,67 @@ TEST(TrainDeterminism, CheckpointedAndResumedRunsMatchPlain) {
   const auto resumed = train_model_bytes(rcfg, "resume");
   EXPECT_TRUE(plain == resumed)
       << "resume from the final checkpoint diverged from the plain run";
+}
+
+// ---------- emulation -----------------------------------------------------------
+
+// Innovations come from per-(member, step) streams through the panel engine,
+// whose accumulation order is fixed, and the nugget streams are per
+// (member, step) too: neither the thread count nor the sampling tile may
+// move a bit of the emulation.
+
+TEST(EmulateDeterminism, UnivariateBytesIdenticalAcrossThreadsAndTiles) {
+  // tile_size also sets the training Cholesky's blocking, which changes the
+  // factor's low-order bits, so every configuration emulates one trained
+  // state installed through restore().
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::ClimateEmulator trained(tiny_config());
+  trained.train(esm.data, esm.forcing);
+  const auto reference = trained.emulate(100, 2, esm.forcing, 11).raw();
+  for (const unsigned threads : {1u, 4u}) {
+    for (const index_t tile : {16, 64}) {
+      core::EmulatorConfig cfg = tiny_config();
+      cfg.threads = threads;
+      cfg.tile_size = tile;
+      core::ClimateEmulator emulator(cfg);
+      emulator.restore(trained.grid(), trained.trend_models(),
+                       trained.ar_models(), trained.cholesky_factor(),
+                       trained.nugget_variance());
+      EXPECT_TRUE(emulator.emulate(100, 2, esm.forcing, 11).raw() == reference)
+          << "threads=" << threads << " tile=" << tile;
+    }
+  }
+}
+
+TEST(EmulateDeterminism, MultivariateBytesIdenticalAcrossThreadsAndTiles) {
+  // MultiVariateEmulator has no restore(); training is bit-reproducible
+  // across threads, so each tile size trains once per thread count and the
+  // two emulations must agree. At V = 1 it must also equal the univariate
+  // emulator, which covers the tile axis through the test above.
+  const auto data = climate::generate_bivariate_esm(tiny_esm(), 0.6);
+  for (const index_t tile : {16, 64}) {
+    std::vector<std::vector<double>> runs;
+    for (const unsigned threads : {1u, 4u}) {
+      core::EmulatorConfig cfg = tiny_config();
+      cfg.threads = threads;
+      cfg.tile_size = tile;
+      core::MultiVariateEmulator joint(cfg);
+      joint.train({&data.primary, &data.secondary}, data.forcing);
+      const auto emu = joint.emulate(100, 2, data.forcing, 11);
+      std::vector<double> bytes = emu[0].raw();
+      bytes.insert(bytes.end(), emu[1].raw().begin(), emu[1].raw().end());
+      runs.push_back(std::move(bytes));
+
+      core::MultiVariateEmulator single(cfg);
+      single.train({&data.primary}, data.forcing);
+      core::ClimateEmulator univariate(cfg);
+      univariate.train(data.primary, data.forcing);
+      EXPECT_TRUE(single.emulate(100, 2, data.forcing, 11)[0].raw() ==
+                  univariate.emulate(100, 2, data.forcing, 11).raw())
+          << "threads=" << threads << " tile=" << tile;
+    }
+    EXPECT_TRUE(runs[0] == runs[1]) << "tile=" << tile;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
 #include "core/consistency.hpp"
+#include "core/emulator.hpp"
 #include "core/multivariate.hpp"
 #include "stats/diagnostics.hpp"
 
@@ -192,6 +193,14 @@ TEST(MultiVar, SingleVariableDegeneratesToUnivariate) {
                                     data.forcing, 3);
   const auto r = evaluate_consistency(data.primary, emu[0], 8);
   EXPECT_TRUE(r.consistent(0.5));
+
+  // One emulation routine: with V = 1 the joint emulator is the univariate
+  // one, byte for byte (same trained state, same seed, same draws).
+  ClimateEmulator univariate(joint_config());
+  univariate.train(data.primary, data.forcing);
+  const auto uni = univariate.emulate(data.primary.num_steps(), 2,
+                                      data.forcing, 3);
+  EXPECT_TRUE(uni.raw() == emu[0].raw());
 }
 
 TEST(MultiVar, UntrainedRejectsUse) {

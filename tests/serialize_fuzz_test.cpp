@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
+#include "common/framing.hpp"
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "core/emulator.hpp"
@@ -147,6 +150,63 @@ TEST_F(SerializeFuzz, ForeignMagicRejected) {
   std::vector<unsigned char> alien = *image_;
   for (int b = 0; b < 8; ++b) alien[static_cast<std::size_t>(b)] = 'X';
   EXPECT_EQ(load_outcome(alien), Outcome::IoErr);
+}
+
+/// Re-frames the fixture model with section `tag`'s payload replaced by
+/// `edit(payload)`. Every CRC is valid, so only the section decoders can
+/// object to the result.
+std::string reframed_model(
+    const std::string& src, std::uint32_t tag,
+    const std::function<void(std::vector<unsigned char>&)>& edit,
+    const std::string& name) {
+  const common::FramedFile file(src, "EXACMDL4", "emulator model");
+  common::FramedWriter writer("EXACMDL4");
+  for (std::uint32_t t = 1; t <= 5; ++t) {  // header, trend, AR, factor, nugget
+    common::ByteReader in = file.section(t);
+    std::vector<unsigned char> payload(in.remaining());
+    in.raw(payload.data(), payload.size());
+    if (t == tag) edit(payload);
+    common::ByteWriter out;
+    out.raw(payload.data(), payload.size());
+    writer.add_section(t, out);
+  }
+  const std::string path = ::testing::TempDir() + name;
+  writer.commit(path);
+  return path;
+}
+
+TEST_F(SerializeFuzz, SectionDecodersRejectTrailingBytesAndCountMismatch) {
+  // Both readers (eager load_emulator, lazy FrozenModel accessors) decode a
+  // section through the same routine, so a well-framed but inconsistent
+  // section is an IoError from either.
+  const std::string trailing = reframed_model(
+      path_, 2,
+      [](std::vector<unsigned char>& p) { p.insert(p.end(), 8, 0); },
+      "/exaclim_fuzz_trend_trailing.bin");
+  const std::string short_nugget = reframed_model(
+      path_, 5,
+      [](std::vector<unsigned char>& p) {
+        // vec64 layout: u64 count, then the values. Drop the last value and
+        // decrement the count, so the section is self-consistent but holds
+        // one value fewer than the grid has points.
+        std::uint64_t count = 0;
+        std::memcpy(&count, p.data(), sizeof(count));
+        --count;
+        std::memcpy(p.data(), &count, sizeof(count));
+        p.resize(p.size() - sizeof(double));
+      },
+      "/exaclim_fuzz_nugget_count.bin");
+
+  const FrozenModel bad_trend(trailing);
+  EXPECT_THROW((void)bad_trend.trend_models(), IoError);
+  EXPECT_NO_THROW((void)bad_trend.nugget_variance());
+  const FrozenModel bad_nugget(short_nugget);
+  EXPECT_THROW((void)bad_nugget.nugget_variance(), IoError);
+  EXPECT_NO_THROW((void)bad_nugget.trend_models());
+  EXPECT_THROW((void)load_emulator(trailing), IoError);
+  EXPECT_THROW((void)load_emulator(short_nugget), IoError);
+  std::filesystem::remove(trailing);
+  std::filesystem::remove(short_nugget);
 }
 
 // ---------- checkpoint artifact ---------------------------------------------

@@ -19,6 +19,7 @@
 #include "common/fault.hpp"
 #include "common/framing.hpp"
 #include "common/io.hpp"
+#include "common/rng.hpp"
 #include "core/emulator.hpp"
 #include "core/serialize.hpp"
 #include "serve/sampler.hpp"
@@ -182,6 +183,30 @@ TEST_F(ServeTest, SameRequestIdSameBytesAcrossThreadsAndTiles) {
           << "tile=" << tile << " threads=" << threads;
     }
   }
+}
+
+TEST_F(ServeTest, SamplingDagBuiltFromTemporaryViewMatchesNamedView) {
+  // The graph keeps its own copy of the factor view, so one built straight
+  // from model.factor() stays valid after the temporary dies (ASan reports
+  // stack-use-after-scope if the view is captured by reference).
+  const index_t n = model_->factor_dim();
+  const index_t k = 3;
+  std::vector<double> z(static_cast<std::size_t>(n * k));
+  common::Rng rng(5);
+  for (double& v : z) v = rng.normal();
+  runtime::SamplingDagOptions options;
+  options.tile = 8;
+
+  std::vector<double> x_named(z.size(), 0.0);
+  const linalg::PackedFactorView named = model_->factor();
+  runtime::execute(runtime::build_sampling_dag(named, z.data(), x_named.data(),
+                                               k, nullptr, options));
+
+  std::vector<double> x_temp(z.size(), 0.0);
+  const runtime::TaskGraph graph = runtime::build_sampling_dag(
+      model_->factor(), z.data(), x_temp.data(), k, nullptr, options);
+  runtime::execute(graph);
+  EXPECT_EQ(x_temp, x_named);
 }
 
 TEST_F(ServeTest, ServiceDrawMatchesSamplerDraw) {
