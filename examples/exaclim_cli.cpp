@@ -352,6 +352,10 @@ int cmd_train(const std::map<std::string, std::string>& args) {
                 static_cast<long long>(report.precision_escalations),
                 static_cast<long long>(report.jitter_escalations));
   }
+  if (report.tiles_degraded_for_memory > 0) {
+    std::printf("memory budget: %lld off-diagonal tile(s) narrowed to FP16\n",
+                static_cast<long long>(report.tiles_degraded_for_memory));
+  }
 
   core::save_emulator(emulator, model_path, storage);
   std::printf("wrote %s (factor storage %s)\n", model_path.c_str(),

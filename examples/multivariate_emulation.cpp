@@ -71,7 +71,7 @@ int main() {
   std::printf("Joint emulator trained in %.2fs (covariance dim %lld = 2 x "
               "L^2, innovation cross-corr %.3f)\n",
               report.total_seconds,
-              static_cast<long long>(report.joint_dimension),
+              static_cast<long long>(joint.cholesky_factor().rows()),
               joint.innovation_cross_correlation(0, 1));
   const auto joint_emu =
       joint.emulate(data.primary.num_steps(), 2, data.forcing, 11);

@@ -42,7 +42,11 @@ run() { echo "+ $*" >&2; "$@"; }
 #   * the packed sampling kernel (sample_apply_packed) is called in src/ only
 #     from runtime/sampling_dag.cpp, and the dense sample_mvn has no caller
 #     in src/ outside linalg/solve.* (it is the reference tests compare
-#     against) — one sampling engine for serving and emulation.
+#     against) — one sampling engine for serving and emulation;
+#   * the training stages (fit_trend, fit_ar_ensemble, prepare_covariance,
+#     validate_dataset) are called in src/ only from core/emulator.cpp,
+#     apart from their own stats/ and climate/validate.* files — one
+#     training pipeline (core::train_variables) for both emulators.
 lint() {
   local fail=0
 
@@ -114,6 +118,15 @@ lint() {
           | grep -vE '^src/linalg/solve\.(hpp|cpp):' || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: sample_mvn called in src/ (draw through runtime::sample_panel):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\b(fit_trend|fit_ar_ensemble|prepare_covariance|validate_dataset)\(' src \
+          | grep -vE '^src/(core/emulator\.cpp|stats/(trend|ar|covariance)\.(hpp|cpp)|climate/validate\.(hpp|cpp)):' \
+          || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: training stage called outside core/emulator.cpp (train through core::train_variables):" >&2
     echo "$hits" >&2
     fail=1
   fi

@@ -1,8 +1,16 @@
 #include "core/config.hpp"
 
+#include "common/error.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 
 namespace exaclim::core {
+
+void check_config(const EmulatorConfig& config) {
+  EXACLIM_CHECK(config.band_limit >= 4, "band limit must be >= 4");
+  EXACLIM_CHECK(config.ar_order >= 1, "AR order must be >= 1");
+  EXACLIM_CHECK(config.harmonics >= 0, "harmonics must be >= 0");
+  EXACLIM_CHECK(config.steps_per_year >= 1, "steps_per_year must be >= 1");
+}
 
 runtime::RtCholeskyOptions cholesky_options(const EmulatorConfig& config) {
   runtime::RtCholeskyOptions opt;

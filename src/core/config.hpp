@@ -77,6 +77,10 @@ struct EmulatorConfig {
   }
 };
 
+/// The construction-time check of both emulators: band limit >= 4, AR order
+/// >= 1, harmonics >= 0 and steps_per_year >= 1; throws InvalidArgument.
+void check_config(const EmulatorConfig& config);
+
 /// The tiled-Cholesky options a trainer factors U-hat with: threads, fault
 /// tolerance, checkpointing, stall watchdog and DAG verification, all taken
 /// from `config`. Every trainer goes through this one mapping.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "climate/validate.hpp"
@@ -19,164 +18,201 @@ namespace exaclim::core {
 
 ClimateEmulator::ClimateEmulator(EmulatorConfig config)
     : config_(std::move(config)) {
-  EXACLIM_CHECK(config_.band_limit >= 4, "band limit must be >= 4");
-  EXACLIM_CHECK(config_.ar_order >= 1, "AR order must be >= 1");
-  EXACLIM_CHECK(config_.harmonics >= 0, "harmonics must be >= 0");
-  EXACLIM_CHECK(config_.steps_per_year >= 1, "steps_per_year must be >= 1");
+  check_config(config_);
 }
 
-TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
+TrainReport ClimateEmulator::train(const climate::ClimateDataset& data,
                                    std::span<const double> annual_forcing) {
-  const index_t L = config_.band_limit;
-  const sht::GridShape grid = input.grid();
+  const climate::ClimateDataset* const variables[] = {&data};
+  TrainedVariables trained =
+      train_variables(config_, variables, annual_forcing);
+  grid_ = trained.plan->grid();
+  trend_ = std::move(trained.trend.front());
+  ar_ = std::move(trained.ar);
+  factor_ = std::move(trained.factor);
+  nugget_var_ = std::move(trained.nugget_var.front());
+  plan_ = std::move(trained.plan);
+  trained_ = true;
+  return trained.report;
+}
+
+TrainedVariables train_variables(
+    const EmulatorConfig& config,
+    std::span<const climate::ClimateDataset* const> data,
+    std::span<const double> annual_forcing) {
+  EXACLIM_CHECK(!data.empty(), "need at least one variable");
+  for (const auto* v : data) EXACLIM_CHECK(v != nullptr, "null dataset");
+  const climate::ClimateDataset& first = *data.front();
+  for (const auto* v : data) {
+    EXACLIM_CHECK(v->grid().nlat == first.grid().nlat &&
+                      v->grid().nlon == first.grid().nlon &&
+                      v->num_steps() == first.num_steps() &&
+                      v->num_ensembles() == first.num_ensembles() &&
+                      v->steps_per_year() == first.steps_per_year(),
+                  "variables must share grid/time/ensemble layout");
+  }
+  const index_t L = config.band_limit;
+  const sht::GridShape grid = first.grid();
   const index_t num_points = grid.num_points();
-  const index_t T = input.num_steps();
-  const index_t R = input.num_ensembles();
-  const index_t P = config_.ar_order;
-  EXACLIM_CHECK(input.steps_per_year() == config_.steps_per_year,
+  const index_t T = first.num_steps();
+  const index_t R = first.num_ensembles();
+  const index_t P = config.ar_order;
+  EXACLIM_CHECK(first.steps_per_year() == config.steps_per_year,
                 "dataset temporal resolution must match config");
   EXACLIM_CHECK(T > 2 * P, "too few time steps for the AR order");
   EXACLIM_CHECK(static_cast<index_t>(annual_forcing.size()) >=
-                    input.num_years(),
+                    first.num_years(),
                 "forcing trajectory shorter than the dataset");
+  const auto num_vars = static_cast<index_t>(data.size());
+  const index_t n_coeff = sh_coeff_count(L);
+  const index_t n = num_vars * n_coeff;
+  const unsigned threads =
+      config.threads == 0 ? common::default_thread_count() : config.threads;
 
-  TrainReport report;
+  TrainedVariables out;
+  TrainReport& report = out.report;
   common::Timer total;
 
   // Input screening before any statistics touch the data: malformed cells
   // fail here as structured ValidationErrors naming exact coordinates, or —
-  // under quarantine — are imputed into a private copy (never mutating the
-  // caller's dataset).
-  std::optional<climate::ClimateDataset> repaired;
-  const climate::ClimateDataset* source = &input;
-  if (config_.validate_input) {
+  // under quarantine — are imputed into private copies (never mutating the
+  // caller's datasets).
+  std::vector<climate::ClimateDataset> repaired;
+  std::vector<const climate::ClimateDataset*> sources(data.begin(), data.end());
+  if (config.validate_input) {
     climate::ValidationOptions vopts;
-    vopts.min_value = config_.valid_min;
-    vopts.max_value = config_.valid_max;
-    vopts.quarantine = config_.quarantine;
-    climate::ValidationSummary vsum;
-    if (config_.quarantine) {
-      repaired.emplace(input);
-      vsum = climate::validate_dataset(*repaired, vopts);
-      source = &*repaired;
-    } else {
-      vsum = climate::validate_dataset(std::as_const(input), vopts);
+    vopts.min_value = config.valid_min;
+    vopts.max_value = config.valid_max;
+    vopts.quarantine = config.quarantine;
+    if (config.quarantine) repaired.reserve(data.size());
+    for (auto& source : sources) {
+      climate::ValidationSummary vsum;
+      if (config.quarantine) {
+        source = &repaired.emplace_back(*source);
+        vsum = climate::validate_dataset(repaired.back(), vopts);
+      } else {
+        vsum = climate::validate_dataset(*source, vopts);
+      }
+      report.validation_flagged += static_cast<index_t>(vsum.flagged());
+      report.validation_quarantined += static_cast<index_t>(vsum.quarantined);
     }
-    report.validation_flagged = static_cast<index_t>(vsum.flagged());
-    report.validation_quarantined = static_cast<index_t>(vsum.quarantined);
   }
-  const climate::ClimateDataset& data = *source;
-  plan_ = std::make_shared<const sht::SHTPlan>(L, grid);
-  grid_ = grid;
+  out.plan = std::make_shared<const sht::SHTPlan>(L, grid);
+  const sht::SHTPlan& plan = *out.plan;
 
-  // ---- Stage 1: per-location trend/scale (Eq. 2) -------------------------
+  // f[r * T + t] is the joint state: variable v's packed coefficients occupy
+  // columns [v L^2, (v + 1) L^2).
+  linalg::Matrix f(R * T, n);
+  const stats::TrendFitConfig trend_cfg = config.trend_config();
+  out.trend.resize(static_cast<std::size_t>(num_vars));
+  out.nugget_var.resize(static_cast<std::size_t>(num_vars));
   common::Timer stage;
-  trend_.assign(static_cast<std::size_t>(num_points), stats::TrendModel{});
-  const stats::TrendFitConfig trend_cfg = config_.trend_config();
-  common::parallel_for(
-      0, num_points,
-      [&](index_t p) {
-        // Stack the R series for this point (r-major).
-        std::vector<double> y(static_cast<std::size_t>(R * T));
-        for (index_t r = 0; r < R; ++r) {
-          for (index_t t = 0; t < T; ++t) {
-            y[static_cast<std::size_t>(r * T + t)] =
-                data.field(r, t)[static_cast<std::size_t>(p)];
+  for (index_t v = 0; v < num_vars; ++v) {
+    const climate::ClimateDataset& var = *sources[static_cast<std::size_t>(v)];
+
+    // ---- Stage 1: per-location trend/scale (Eq. 2) -----------------------
+    stage.reset();
+    auto& trend = out.trend[static_cast<std::size_t>(v)];
+    trend.assign(static_cast<std::size_t>(num_points), stats::TrendModel{});
+    common::parallel_for(
+        0, num_points,
+        [&](index_t p) {
+          // Stack the R series for this point (r-major).
+          std::vector<double> y(static_cast<std::size_t>(R * T));
+          for (index_t r = 0; r < R; ++r) {
+            for (index_t t = 0; t < T; ++t) {
+              y[static_cast<std::size_t>(r * T + t)] =
+                  var.field(r, t)[static_cast<std::size_t>(p)];
+            }
           }
-        }
-        trend_[static_cast<std::size_t>(p)] =
-            stats::fit_trend(y, R, T, annual_forcing, trend_cfg);
-      },
-      config_.threads == 0 ? common::default_thread_count() : config_.threads);
-  report.trend_seconds = stage.seconds();
+          trend[static_cast<std::size_t>(p)] =
+              stats::fit_trend(y, R, T, annual_forcing, trend_cfg);
+        },
+        threads);
+    report.trend_seconds += stage.seconds();
 
-  // Cache m_t once (shared across ensembles).
-  std::vector<std::vector<double>> trend_series_per_point(
-      static_cast<std::size_t>(num_points));
-  common::parallel_for(0, num_points, [&](index_t p) {
-    trend_series_per_point[static_cast<std::size_t>(p)] =
-        stats::trend_series(trend_[static_cast<std::size_t>(p)], T,
-                            annual_forcing);
-  });
+    // Cache m_t once (shared across ensembles).
+    std::vector<std::vector<double>> trend_series_per_point(
+        static_cast<std::size_t>(num_points));
+    common::parallel_for(0, num_points, [&](index_t p) {
+      trend_series_per_point[static_cast<std::size_t>(p)] = stats::trend_series(
+          trend[static_cast<std::size_t>(p)], T, annual_forcing);
+    });
 
-  // ---- Stage 2: SHT of the standardized stochastic component -------------
-  stage.reset();
-  const index_t n_coeff = sh_coeff_count(L);
-  // f[r][t] stored as one big row-major (R*T) x L^2 matrix.
-  linalg::Matrix f(R * T, n_coeff);
-  nugget_var_.assign(static_cast<std::size_t>(num_points), 0.0);
-  // Deterministic reduction: the old mutex-guarded accumulation summed the
-  // per-(r,t) residuals in completion order, so two identical runs drifted at
-  // the last ulp. parallel_reduce fixes the chunking and combine order as a
-  // function of R*T alone, making the nugget section bit-stable at any
-  // --threads (ROADMAP "bit-reproducible training" item).
-  const std::vector<double> nugget_acc = common::parallel_reduce(
-      0, R * T, std::vector<double>(static_cast<std::size_t>(num_points), 0.0),
-      [&](std::vector<double>& acc, index_t rt) {
-        const index_t r = rt / T;
-        const index_t t = rt % T;
-        const auto obs = data.field(r, t);
-        std::vector<double> z(static_cast<std::size_t>(num_points));
-        for (index_t p = 0; p < num_points; ++p) {
-          const auto& tm = trend_[static_cast<std::size_t>(p)];
-          z[static_cast<std::size_t>(p)] =
-              (obs[static_cast<std::size_t>(p)] -
-               trend_series_per_point[static_cast<std::size_t>(p)]
-                                     [static_cast<std::size_t>(t)]) /
-              tm.sigma;
-        }
-        const std::vector<cplx> coeffs = plan_->analyze(z);
-        const std::vector<double> packed = sht::pack_real(L, coeffs);
-        std::copy(packed.begin(), packed.end(),
-                  f.data() + static_cast<std::size_t>(rt) *
-                                 static_cast<std::size_t>(n_coeff));
-        // Truncation residual -> nugget variance accumulation.
-        const std::vector<double> back = plan_->synthesize(coeffs);
-        for (index_t p = 0; p < num_points; ++p) {
-          const double e =
-              z[static_cast<std::size_t>(p)] - back[static_cast<std::size_t>(p)];
-          acc[static_cast<std::size_t>(p)] += e * e;
-        }
-      },
-      [num_points](std::vector<double>& into, std::vector<double>&& from) {
-        for (index_t p = 0; p < num_points; ++p) {
-          into[static_cast<std::size_t>(p)] += from[static_cast<std::size_t>(p)];
-        }
-      },
-      config_.threads == 0 ? common::default_thread_count() : config_.threads);
-  for (index_t p = 0; p < num_points; ++p) {
-    nugget_var_[static_cast<std::size_t>(p)] =
-        nugget_acc[static_cast<std::size_t>(p)] / static_cast<double>(R * T);
+    // ---- Stage 2: SHT of the standardized stochastic component -----------
+    stage.reset();
+    // Deterministic reduction: parallel_reduce fixes the chunking and combine
+    // order as a function of R*T alone, so the nugget is bit-stable at any
+    // --threads.
+    auto& nugget = out.nugget_var[static_cast<std::size_t>(v)];
+    nugget = common::parallel_reduce(
+        0, R * T,
+        std::vector<double>(static_cast<std::size_t>(num_points), 0.0),
+        [&](std::vector<double>& acc, index_t rt) {
+          const index_t r = rt / T;
+          const index_t t = rt % T;
+          const auto obs = var.field(r, t);
+          std::vector<double> z(static_cast<std::size_t>(num_points));
+          for (index_t p = 0; p < num_points; ++p) {
+            z[static_cast<std::size_t>(p)] =
+                (obs[static_cast<std::size_t>(p)] -
+                 trend_series_per_point[static_cast<std::size_t>(p)]
+                                       [static_cast<std::size_t>(t)]) /
+                trend[static_cast<std::size_t>(p)].sigma;
+          }
+          const std::vector<cplx> coeffs = plan.analyze(z);
+          const std::vector<double> packed = sht::pack_real(L, coeffs);
+          std::copy(packed.begin(), packed.end(),
+                    f.data() +
+                        static_cast<std::size_t>(rt) *
+                            static_cast<std::size_t>(n) +
+                        static_cast<std::size_t>(v * n_coeff));
+          // Truncation residual -> nugget variance accumulation.
+          const std::vector<double> back = plan.synthesize(coeffs);
+          for (index_t p = 0; p < num_points; ++p) {
+            const double e = z[static_cast<std::size_t>(p)] -
+                             back[static_cast<std::size_t>(p)];
+            acc[static_cast<std::size_t>(p)] += e * e;
+          }
+        },
+        [num_points](std::vector<double>& into, std::vector<double>&& from) {
+          for (index_t p = 0; p < num_points; ++p) {
+            into[static_cast<std::size_t>(p)] +=
+                from[static_cast<std::size_t>(p)];
+          }
+        },
+        threads);
+    for (auto& value : nugget) value /= static_cast<double>(R * T);
+    report.sht_seconds += stage.seconds();
   }
-  report.sht_seconds = stage.seconds();
 
-  // ---- Stage 3: diagonal VAR(P) -------------------------------------------
+  // ---- Stage 3: diagonal VAR(P) per joint coordinate ----------------------
   stage.reset();
-  ar_.assign(static_cast<std::size_t>(n_coeff), stats::ArModel{});
+  out.ar.assign(static_cast<std::size_t>(n), stats::ArModel{});
   common::parallel_for(
-      0, n_coeff,
+      0, n,
       [&](index_t c) {
         std::vector<double> series(static_cast<std::size_t>(R * T));
         for (index_t rt = 0; rt < R * T; ++rt) {
           series[static_cast<std::size_t>(rt)] = f(rt, c);
         }
-        ar_[static_cast<std::size_t>(c)] =
+        out.ar[static_cast<std::size_t>(c)] =
             stats::fit_ar_ensemble(series, R, T, P);
       },
-      config_.threads == 0 ? common::default_thread_count() : config_.threads);
+      threads);
   report.ar_seconds = stage.seconds();
 
-  // ---- Stage 4: innovation covariance + Cholesky --------------------------
+  // ---- Stage 4: joint innovation covariance + Cholesky --------------------
   stage.reset();
   const index_t n_samples = R * (T - P);
   report.innovation_samples = n_samples;
-  linalg::Matrix xi(n_samples, n_coeff);
-  common::parallel_for(0, n_coeff, [&](index_t c) {
+  linalg::Matrix xi(n_samples, n);
+  common::parallel_for(0, n, [&](index_t c) {
     index_t row = 0;
+    const auto& phi = out.ar[static_cast<std::size_t>(c)].phi;
     for (index_t r = 0; r < R; ++r) {
       for (index_t t = P; t < T; ++t) {
         double pred = 0.0;
-        const auto& phi = ar_[static_cast<std::size_t>(c)].phi;
         for (index_t a = 0; a < P; ++a) {
           pred += phi[static_cast<std::size_t>(a)] * f(r * T + t - 1 - a, c);
         }
@@ -185,31 +221,46 @@ TrainReport ClimateEmulator::train(const climate::ClimateDataset& input,
       }
     }
   });
-  stats::PreparedCovariance prepared =
-      stats::prepare_covariance(xi, config_.jitter_base);
+  const stats::PreparedCovariance prepared =
+      stats::prepare_covariance(xi, config.jitter_base);
   report.covariance_jitter = prepared.jitter;
   report.covariance_deficient = prepared.was_deficient;
+  // The cross-variable diagnostic needs U-hat, which training does not keep.
+  const linalg::Matrix& u = prepared.u;
+  out.cross_correlation.resize(static_cast<std::size_t>(num_vars * num_vars));
+  for (index_t a = 0; a < num_vars; ++a) {
+    for (index_t b = 0; b < num_vars; ++b) {
+      double acc = 0.0;
+      for (index_t c = 0; c < n_coeff; ++c) {
+        const index_t i = a * n_coeff + c;
+        const index_t j = b * n_coeff + c;
+        const double d = std::sqrt(u(i, i) * u(j, j));
+        acc += std::abs(d > 0.0 ? u(i, j) / d : 0.0);
+      }
+      out.cross_correlation[static_cast<std::size_t>(a * num_vars + b)] =
+          acc / static_cast<double>(n_coeff);
+    }
+  }
   report.covariance_seconds = stage.seconds();
 
   // Mixed-precision tiled Cholesky of U-hat (the paper's headline solver).
   stage.reset();
-  const index_t nb = std::min(config_.tile_size, n_coeff);
-  const index_t nt = (n_coeff + nb - 1) / nb;
+  const index_t nb = std::min(config.tile_size, n);
+  const index_t nt = (n + nb - 1) / nb;
   linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
-      prepared.u, nb,
-      linalg::make_band_policy(nt, config_.cholesky_variant));
+      u, nb, linalg::make_band_policy(nt, config.cholesky_variant));
+  report.tiles_degraded_for_memory = tiled.tiles_degraded_for_memory();
   const runtime::RtCholeskyResult rt =
-      runtime::cholesky_tiled_parallel(tiled, cholesky_options(config_));
+      runtime::cholesky_tiled_parallel(tiled, cholesky_options(config));
   report.precision_escalations = rt.precision_escalations;
   report.jitter_escalations = rt.jitter_escalations;
   report.checkpoints_written = rt.checkpoints_written;
   report.resumed_from_checkpoint = rt.resumed;
-  factor_ = tiled.to_dense(/*lower_only=*/true);
+  out.factor = tiled.to_dense(/*lower_only=*/true);
   report.cholesky_seconds = stage.seconds();
 
-  trained_ = true;
   report.total_seconds = total.seconds();
-  return report;
+  return out;
 }
 
 std::vector<climate::ClimateDataset> emulate_variables(

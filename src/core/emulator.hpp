@@ -10,6 +10,8 @@
 //      the ensemble.
 //   4. Innovation covariance U-hat (Eq. 9) with diagonal perturbation when
 //      rank deficient, then mixed-precision tiled Cholesky U = V V^T.
+// Training is shared with the multivariate emulator through train_variables,
+// which runs these stages for V co-located variables (V = 1 here).
 // Emulation (Section III-B; emulate_variables, shared with the multivariate
 // emulator): xi ~ N(0, U) drawn through V in panels of up to 64 steps by the
 // serving engine (runtime::sample_panel), one stream per (member, step); VAR
@@ -21,7 +23,8 @@
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <span>
+#include <vector>
 
 #include "climate/dataset.hpp"
 #include "core/config.hpp"
@@ -32,7 +35,8 @@
 
 namespace exaclim::core {
 
-/// Timing/diagnostics of one training run.
+/// Timing/diagnostics of one training run. Stage seconds are summed over
+/// variables.
 struct TrainReport {
   double trend_seconds = 0.0;
   double sht_seconds = 0.0;
@@ -101,6 +105,30 @@ class ClimateEmulator {
   std::vector<double> nugget_var_;        ///< v^2 per grid point
   std::shared_ptr<const sht::SHTPlan> plan_;  ///< rebuilt on train/restore
 };
+
+/// The trained state of V co-located variables: per-variable trend and
+/// nugget, plus the diagonal VAR(P) and the lower Cholesky factor of the
+/// joint, variable-major V * L^2 innovation covariance.
+struct TrainedVariables {
+  std::shared_ptr<const sht::SHTPlan> plan;  ///< its grid() is the data grid
+  std::vector<std::vector<stats::TrendModel>> trend;  ///< [v][point]
+  std::vector<std::vector<double>> nugget_var;        ///< [v][point]
+  std::vector<stats::ArModel> ar;                     ///< V * L^2 models
+  linalg::Matrix factor;                              ///< lower, V L^2 square
+  TrainReport report;
+  /// V x V, row-major: entry (a, b) is the mean absolute innovation
+  /// correlation between coefficient i of variable a and coefficient i of
+  /// variable b, over the L^2 packed coefficients.
+  std::vector<double> cross_correlation;
+};
+
+/// The training step of both emulators, for V = data.size() datasets sharing
+/// grid, step count, ensemble count and config.steps_per_year. Byte-identical
+/// at any config.threads.
+TrainedVariables train_variables(
+    const EmulatorConfig& config,
+    std::span<const climate::ClimateDataset* const> data,
+    std::span<const double> annual_forcing);
 
 /// The emulation step of both emulators, for V = trend.size() variables
 /// (result[v] is variable v); `ar` and `factor` span the joint, variable-major

@@ -10,6 +10,10 @@
 // pressure anomalies sharing weather systems) survives into the emulations,
 // which a collection of independent univariate emulators would destroy.
 //
+// Training and emulation are the univariate emulator's own routines
+// (train_variables, emulate_variables in core/emulator.hpp): the joint
+// emulator differs only in V and in the cross-correlation diagnostic.
+//
 // The Cholesky grows from (L^2)^3/3 to (V L^2)^3/3 flops — the same O(L^6)
 // class with a V^3 constant, which is exactly the workload the paper's
 // mixed-precision exascale solver exists to absorb.
@@ -19,25 +23,10 @@
 
 #include "climate/dataset.hpp"
 #include "core/config.hpp"
+#include "core/emulator.hpp"
 #include "linalg/matrix.hpp"
-#include "sht/sht.hpp"
-#include "stats/ar.hpp"
-#include "stats/trend.hpp"
 
 namespace exaclim::core {
-
-/// Training diagnostics per joint run.
-struct MultiVarTrainReport {
-  double total_seconds = 0.0;
-  double covariance_jitter = 0.0;
-  bool covariance_deficient = false;
-  index_t joint_dimension = 0;  ///< V * L^2
-  index_t innovation_samples = 0;
-
-  // Input-screening outcomes, summed over variables.
-  index_t validation_flagged = 0;
-  index_t validation_quarantined = 0;
-};
 
 /// Jointly trained emulator over several co-located variables.
 class MultiVariateEmulator {
@@ -46,12 +35,13 @@ class MultiVariateEmulator {
 
   /// Trains on V datasets sharing grid, step count, ensemble count and
   /// temporal resolution.
-  MultiVarTrainReport train(
-      const std::vector<const climate::ClimateDataset*>& variables,
-      std::span<const double> annual_forcing);
+  TrainReport train(const std::vector<const climate::ClimateDataset*>& variables,
+                    std::span<const double> annual_forcing);
 
-  bool is_trained() const { return trained_; }
-  index_t num_variables() const { return num_variables_; }
+  bool is_trained() const { return state_.plan != nullptr; }
+  index_t num_variables() const {
+    return static_cast<index_t>(state_.trend.size());
+  }
 
   /// Emulates all variables jointly; result[v] is variable v's ensemble.
   std::vector<climate::ClimateDataset> emulate(
@@ -63,19 +53,11 @@ class MultiVariateEmulator {
   /// correlation) — the quantity a univariate product model forces to zero.
   double innovation_cross_correlation(index_t a, index_t b) const;
 
-  const linalg::Matrix& cholesky_factor() const { return factor_; }
+  const linalg::Matrix& cholesky_factor() const { return state_.factor; }
 
  private:
   EmulatorConfig config_;
-  bool trained_ = false;
-  index_t num_variables_ = 0;
-  sht::GridShape grid_{};
-  std::vector<std::vector<stats::TrendModel>> trend_;   // [var][point]
-  std::vector<std::vector<double>> nugget_var_;         // [var][point]
-  std::vector<stats::ArModel> ar_;                      // V * L^2 models
-  linalg::Matrix factor_;                               // joint V
-  linalg::Matrix innovation_corr_;                      // joint correlation
-  std::shared_ptr<const sht::SHTPlan> plan_;
+  TrainedVariables state_;
 };
 
 }  // namespace exaclim::core

@@ -5,12 +5,14 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
 #include "core/complexity.hpp"
 #include "core/consistency.hpp"
 #include "core/emulator.hpp"
+#include "core/multivariate.hpp"
 #include "core/serialize.hpp"
 #include "stats/diagnostics.hpp"
 
@@ -79,12 +81,23 @@ TEST(Complexity, RejectsBadInputs) {
 // ---------- emulator construction -------------------------------------------------
 
 TEST(Emulator, RejectsBadConfig) {
+  // Both emulators share one config check.
+  const auto expect_rejected = [](const EmulatorConfig& cfg) {
+    EXPECT_THROW(ClimateEmulator{cfg}, InvalidArgument);
+    EXPECT_THROW(MultiVariateEmulator{cfg}, InvalidArgument);
+  };
   EmulatorConfig cfg;
   cfg.band_limit = 2;
-  EXPECT_THROW(ClimateEmulator{cfg}, InvalidArgument);
+  expect_rejected(cfg);
   cfg = EmulatorConfig{};
   cfg.ar_order = 0;
-  EXPECT_THROW(ClimateEmulator{cfg}, InvalidArgument);
+  expect_rejected(cfg);
+  cfg = EmulatorConfig{};
+  cfg.harmonics = -1;
+  expect_rejected(cfg);
+  cfg = EmulatorConfig{};
+  cfg.steps_per_year = 0;
+  expect_rejected(cfg);
 }
 
 TEST(Emulator, CannotEmulateUntrained) {
@@ -95,11 +108,24 @@ TEST(Emulator, CannotEmulateUntrained) {
 }
 
 TEST(Emulator, TrainRejectsMismatchedResolution) {
-  const auto esm = climate::generate_synthetic_esm(tiny_esm());
-  EmulatorConfig cfg = tiny_config();
-  cfg.steps_per_year = 12;  // dataset has 48
-  ClimateEmulator emulator(cfg);
-  EXPECT_THROW(emulator.train(esm.data, esm.forcing), InvalidArgument);
+  // Both trainers share one set of checks. A tau = 12 config on tau = 48
+  // data would also run out of forcing; tau = 24 data under the tau = 48
+  // config has forcing to spare, so only the resolution check can reject it.
+  climate::SyntheticEsmConfig half_rate = tiny_esm();
+  half_rate.steps_per_year = 24;
+  EmulatorConfig coarse = tiny_config();
+  coarse.steps_per_year = 12;
+  const std::pair<climate::SyntheticEsmConfig, EmulatorConfig> cases[] = {
+      {tiny_esm(), coarse}, {half_rate, tiny_config()}};
+  for (const auto& [esm_cfg, cfg] : cases) {
+    const auto esm = climate::generate_synthetic_esm(esm_cfg);
+    ClimateEmulator emulator(cfg);
+    EXPECT_THROW(emulator.train(esm.data, esm.forcing), InvalidArgument)
+        << "data tau " << esm_cfg.steps_per_year;
+    MultiVariateEmulator joint(cfg);
+    EXPECT_THROW(joint.train({&esm.data}, esm.forcing), InvalidArgument)
+        << "data tau " << esm_cfg.steps_per_year;
+  }
 }
 
 // ---------- training -----------------------------------------------------------------

@@ -158,10 +158,13 @@ TEST(FaultMatrix, MultivariateTrainHonoursFaultTolerance) {
   FaultInjector::instance().arm(
       FaultPlan::parse("seed=3;numerical=1;kind=POTRF"));
   core::MultiVariateEmulator emulator(cfg);
+  core::TrainReport report;
   EXPECT_NO_THROW(
-      emulator.train({&data.primary, &data.secondary}, data.forcing));
+      report = emulator.train({&data.primary, &data.secondary}, data.forcing));
   EXPECT_GT(FaultInjector::instance().counts().numerical, 0);
   EXPECT_TRUE(emulator.is_trained());
+  // The recoveries show up in the joint trainer's report too.
+  EXPECT_GT(report.precision_escalations + report.jitter_escalations, 0);
 }
 
 // ---------- transient faults ------------------------------------------------

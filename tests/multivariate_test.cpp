@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
@@ -110,7 +111,7 @@ class TrainedMultiVar : public ::testing::Test {
     data_ = new climate::BivariateEsm(
         climate::generate_bivariate_esm(bivar_config(), 0.75));
     emulator_ = new MultiVariateEmulator(joint_config());
-    report_ = new MultiVarTrainReport(emulator_->train(
+    report_ = new TrainReport(emulator_->train(
         {&data_->primary, &data_->secondary}, data_->forcing));
   }
   static void TearDownTestSuite() {
@@ -123,18 +124,28 @@ class TrainedMultiVar : public ::testing::Test {
   }
   static climate::BivariateEsm* data_;
   static MultiVariateEmulator* emulator_;
-  static MultiVarTrainReport* report_;
+  static TrainReport* report_;
 };
 
 climate::BivariateEsm* TrainedMultiVar::data_ = nullptr;
 MultiVariateEmulator* TrainedMultiVar::emulator_ = nullptr;
-MultiVarTrainReport* TrainedMultiVar::report_ = nullptr;
+TrainReport* TrainedMultiVar::report_ = nullptr;
 
 TEST_F(TrainedMultiVar, JointDimensionAndDiagnostics) {
   EXPECT_TRUE(emulator_->is_trained());
   EXPECT_EQ(emulator_->num_variables(), 2);
-  EXPECT_EQ(report_->joint_dimension, 2 * 64);
-  EXPECT_EQ(emulator_->cholesky_factor().rows(), 128);
+  EXPECT_EQ(emulator_->cholesky_factor().rows(), 2 * 64);
+  EXPECT_EQ(emulator_->cholesky_factor().cols(), 2 * 64);
+  // The joint trainer fills the same report as the univariate one.
+  EXPECT_GT(report_->trend_seconds, 0.0);
+  EXPECT_GT(report_->sht_seconds, 0.0);
+  EXPECT_GT(report_->ar_seconds, 0.0);
+  EXPECT_GT(report_->covariance_seconds, 0.0);
+  EXPECT_GT(report_->cholesky_seconds, 0.0);
+  EXPECT_GT(report_->total_seconds, 0.0);
+  const index_t R = data_->primary.num_ensembles();
+  const index_t T = data_->primary.num_steps();
+  EXPECT_EQ(report_->innovation_samples, R * (T - joint_config().ar_order));
 }
 
 TEST_F(TrainedMultiVar, InnovationsCaptureCrossVariableDependence) {
@@ -187,8 +198,8 @@ TEST(MultiVar, RejectsMismatchedVariables) {
 TEST(MultiVar, SingleVariableDegeneratesToUnivariate) {
   const auto data = climate::generate_bivariate_esm(bivar_config(), 0.5);
   MultiVariateEmulator emulator(joint_config());
-  const auto report = emulator.train({&data.primary}, data.forcing);
-  EXPECT_EQ(report.joint_dimension, 64);
+  emulator.train({&data.primary}, data.forcing);
+  EXPECT_EQ(emulator.cholesky_factor().rows(), 64);
   const auto emu = emulator.emulate(data.primary.num_steps(), 2,
                                     data.forcing, 3);
   const auto r = evaluate_consistency(data.primary, emu[0], 8);
@@ -198,6 +209,14 @@ TEST(MultiVar, SingleVariableDegeneratesToUnivariate) {
   // one, byte for byte (same trained state, same seed, same draws).
   ClimateEmulator univariate(joint_config());
   univariate.train(data.primary, data.forcing);
+  const linalg::Matrix& joint_factor = emulator.cholesky_factor();
+  const linalg::Matrix& uni_factor = univariate.cholesky_factor();
+  ASSERT_EQ(uni_factor.rows(), joint_factor.rows());
+  EXPECT_EQ(std::memcmp(uni_factor.data(), joint_factor.data(),
+                        static_cast<std::size_t>(uni_factor.rows() *
+                                                 uni_factor.cols()) *
+                            sizeof(double)),
+            0);
   const auto uni = univariate.emulate(data.primary.num_steps(), 2,
                                       data.forcing, 3);
   EXPECT_TRUE(uni.raw() == emu[0].raw());

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -169,6 +170,39 @@ TEST(MemoryBudget, ZeroBudgetMeansUnlimited) {
   map.tiles.assign(3, linalg::Precision::FP64);
   linalg::TiledSymmetricMatrix a(32, 16, map);
   EXPECT_EQ(a.tiles_degraded_for_memory(), 0);
+}
+
+TEST(MemoryBudget, TrainReportCountsTilesNarrowedForMemory) {
+  // L = 8 gives n = 64; tile size 48 splits it into tile rows of 48 and 16.
+  // A first, unbudgeted train leaves the long-lived charges (the scratch
+  // arena) in place, so the budget below is exact: room for the two diagonal
+  // tiles at FP64 but for tile (1,0) only at FP16.
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::EmulatorConfig cfg = tiny_config();
+  cfg.tile_size = 48;
+  cfg.cholesky_variant = linalg::PrecisionVariant::DP;
+  cfg.threads = 1;
+  // With threads = 1 only the calling thread runs Cholesky tasks, and only
+  // its scratch arena trims under pressure. BudgetGuard's reset_for_test()
+  // forgets live arena charges, and trimming an arena charged before such a
+  // reset wraps charged() around; a fresh thread's arena is charged after
+  // every earlier reset, whatever ran before in this process.
+  std::async(std::launch::async, [&] {
+    core::ClimateEmulator unbudgeted(cfg);
+    EXPECT_EQ(
+        unbudgeted.train(esm.data, esm.forcing).tiles_degraded_for_memory, 0);
+
+    struct LiftBudget {
+      ~LiftBudget() { common::MemoryBudget::instance().set_budget(0); }
+    } lift;
+    auto& budget = common::MemoryBudget::instance();
+    budget.set_budget(budget.charged() + 48 * 48 * 8 + 16 * 48 * 2 +
+                      16 * 16 * 8);
+    core::ClimateEmulator emulator(cfg);
+    const auto report = emulator.train(esm.data, esm.forcing);
+    EXPECT_EQ(report.tiles_degraded_for_memory, 1);
+    EXPECT_TRUE(emulator.is_trained());
+  }).get();
 }
 
 // ---------- fault plan & sync policy parsing ----------------------------------
