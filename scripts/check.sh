@@ -40,9 +40,11 @@ run() { echo "+ $*" >&2; "$@"; }
 #     src/ only from runtime/tiled_cholesky_rt.cpp — one tiled Cholesky
 #     engine, so a second copy cannot creep back in;
 #   * the packed sampling kernel (sample_apply_packed) is called in src/ only
-#     from runtime/sampling_dag.cpp, and the dense sample_mvn has no caller
-#     in src/ outside linalg/solve.* (it is the reference tests compare
-#     against) — one sampling engine for serving and emulation;
+#     from runtime/sampling_dag.cpp, its scalar oracle
+#     (sample_apply_packed_ref) appears in src/ only in linalg/kernels.*,
+#     and the dense sample_mvn has no caller in src/ outside linalg/solve.*
+#     (it is the reference tests compare against) — one sampling engine for
+#     serving and emulation;
 #   * the training stages (fit_trend, fit_ar_ensemble, prepare_covariance,
 #     validate_dataset) are called in src/ only from core/emulator.cpp,
 #     apart from their own stats/ and climate/validate.* files — one
@@ -110,6 +112,14 @@ lint() {
           || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: sample_apply_packed called outside runtime/sampling_dag.cpp:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bsample_apply_packed_ref\(' src \
+          | grep -vE '^src/linalg/kernels\.(hpp|cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: sample_apply_packed_ref (the scalar oracle) used outside linalg/kernels.*:" >&2
     echo "$hits" >&2
     fail=1
   fi

@@ -7,9 +7,10 @@
 #include <cstring>
 #include <mutex>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
-#if defined(__F16C__)
+#if defined(__F16C__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -971,9 +972,9 @@ void convert_f16_scaled_to_f32(const common::half* src, float scale,
 namespace {
 
 /// Accumulates x[0..K) += lv * z[0..K) honoring the cancelled-column mask.
-/// The skip == 0 fast path is the hot serving loop; with cancellations the
-/// surviving columns see exactly the same operations in the same order, so
-/// a co-batched request timing out never perturbs anyone else's bits.
+/// With cancellations the surviving columns see exactly the same operations
+/// in the same order, so a co-batched request timing out never perturbs
+/// anyone else's bits.
 inline void axpy_row(double lv, const double* z, double* x, index_t k_cols,
                      std::uint64_t skip) {
   if (skip == 0) {
@@ -999,15 +1000,11 @@ inline std::size_t packed_row_offset(PackedStorage storage, index_t r) {
   return 0;
 }
 
-}  // namespace
-
-std::size_t packed_factor_bytes(PackedStorage storage, index_t n) {
-  return packed_row_offset(storage, n);
-}
-
-void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
-                         index_t c0, index_t c1, const double* z, double* x,
-                         index_t k_cols, std::uint64_t skip) {
+/// Argument checks shared by the kernel and its oracle. Returns false when
+/// every column is cancelled: the whole block pass is then dead work.
+bool sample_apply_live(const PackedFactorView& l, index_t r0, index_t r1,
+                       index_t c0, index_t c1, index_t k_cols,
+                       std::uint64_t skip) {
   EXACLIM_CHECK(k_cols >= 1 && k_cols <= 64,
                 "sample_apply_packed batches at most 64 columns");
   EXACLIM_CHECK(0 <= r0 && r0 <= r1 && r1 <= l.n && 0 <= c0 && c0 <= c1 &&
@@ -1019,11 +1016,220 @@ void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
   // sections are multiples of 8 bytes); the typed row loads below rely on it.
   EXACLIM_CHECK(reinterpret_cast<std::uintptr_t>(l.bytes) % 8 == 0,
                 "packed factor payload is not 8-byte aligned");
-  if (skip == (k_cols >= 64 ? ~std::uint64_t{0}
-                            : (std::uint64_t{1} << k_cols) - 1)) {
-    return;  // every column cancelled: the whole block pass is dead work
-  }
+  return skip != (k_cols >= 64 ? ~std::uint64_t{0}
+                               : (std::uint64_t{1} << k_cols) - 1);
+}
 
+// The register-blocked apply (Goto & van de Geijn, ACM TOMS 2008): a block
+// of kApplyRows factor rows x up to kApplyCols batch columns of X stays in
+// registers while c ascends (8 rows when the batch fits one vector). Per c,
+// one z row slice is loaded and shared by the block's rows, and each row
+// broadcasts its one factor element. Every output still receives exactly
+// one multiply-add per term, in ascending c, starting from the value the
+// previous block pass left — the bytes of the scalar oracle.
+constexpr index_t kApplyRows = 4;
+constexpr index_t kLanes = 8;  // doubles per vector
+constexpr index_t kApplyCols = 4 * kLanes;
+// F32/F16 rows of a block are decoded into one 8 KB stack strip.
+constexpr index_t kStripDoubles = 1024;
+
+#if defined(__AVX512F__)
+/// Eight batch columns of one X row. The multiply-add is the fused one the
+/// scalar loop contracts to under the same flags.
+struct Lanes {
+  __m512d v;
+  static Lanes load(const double* p, unsigned mask) {
+    return {_mm512_maskz_loadu_pd(static_cast<__mmask8>(mask), p)};
+  }
+  void madd(double l, const Lanes& z) {
+    v = _mm512_fmadd_pd(_mm512_set1_pd(l), z.v, v);
+  }
+  void store(double* p, unsigned mask) const {
+    _mm512_mask_storeu_pd(p, static_cast<__mmask8>(mask), v);
+  }
+};
+#else
+/// Portable eight-lane form. Without FMA hardware the scalar loop compiles
+/// to a multiply then an add, so this must too.
+struct Lanes {
+  double v[kLanes];
+  static Lanes load(const double* p, unsigned mask) {
+    Lanes out;
+    for (index_t j = 0; j < kLanes; ++j) {
+      out.v[j] = ((mask >> j) & 1u) != 0 ? p[j] : 0.0;
+    }
+    return out;
+  }
+  void madd(double l, const Lanes& z) {
+    for (index_t j = 0; j < kLanes; ++j) {
+#if defined(__FMA__)
+      v[j] = std::fma(l, z.v[j], v[j]);
+#else
+      v[j] += l * z.v[j];
+#endif
+    }
+  }
+  void store(double* p, unsigned mask) const {
+    for (index_t j = 0; j < kLanes; ++j) {
+      if (((mask >> j) & 1u) != 0) p[j] = v[j];
+    }
+  }
+};
+#endif
+
+/// R factor rows over one column strip starting at cs: row i's entry for
+/// column cs + t is row[i][t], present for t < count[i]. Rows ascend, so
+/// count is nondecreasing in i (the triangular tail of a diagonal block).
+template <int R>
+struct RowStrip {
+  const double* row[R];
+  index_t count[R];
+};
+
+/// Calls f(i) for i = 0..N-1 with i a compile-time constant. A register
+/// block's accumulators are indexed only this way: GCC keeps an array in
+/// registers only when every index is a constant.
+template <int N, typename F>
+inline void unrolled(F&& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+/// X rows x[i][0..w) += sum over the strip of row[i][t] * z[t * k_cols + ..],
+/// NV = ceil(w / 8) vectors per row; only columns set in `keep` are stored.
+template <int R, int NV>
+void apply_block(const RowStrip<R>& s, const double* z, index_t k_cols,
+                 double* const* x, index_t w, std::uint64_t keep) {
+  unsigned mask[NV] = {};
+  Lanes acc[R][NV];  // every entry loaded below
+  unrolled<NV>([&](auto v) {
+    mask[v] = (1u << std::min(kLanes, w - v * kLanes)) - 1u;
+    unrolled<R>([&](auto i) {
+      acc[i][v] = Lanes::load(x[i] + v * kLanes, mask[v]);
+    });
+  });
+  // One step of c: the z row slice is shared by every row still in range
+  // (all of them until the triangular tail of a diagonal block).
+  auto step = [&](index_t t, auto tail) {
+    const double* zt = z + t * k_cols;
+    Lanes zv[NV];
+    unrolled<NV>(
+        [&](auto v) { zv[v] = Lanes::load(zt + v * kLanes, mask[v]); });
+    unrolled<R>([&](auto i) {
+      if (tail && t >= s.count[i]) return;
+      const double l = s.row[i][t];
+      unrolled<NV>([&](auto v) { acc[i][v].madd(l, zv[v]); });
+    });
+  };
+  index_t t = 0;
+  for (; t < s.count[0]; ++t) step(t, std::false_type{});
+  for (; t < s.count[R - 1]; ++t) step(t, std::true_type{});
+  unrolled<NV>([&](auto v) {
+    const auto keep_v = static_cast<unsigned>(keep >> (v * kLanes)) & 0xFFu;
+    unrolled<R>([&](auto i) {
+      acc[i][v].store(x[i] + v * kLanes, mask[v] & keep_v);
+    });
+  });
+}
+
+/// Entries [cs, cs + count) of packed row r as doubles: F64 rows are read
+/// where they lie, F32/F16 rows are decoded into `buf` (exact: widen, then
+/// multiply by the row scale in double, as the scalar loop does per read).
+inline const double* strip_row(const PackedFactorView& l, index_t r,
+                               index_t cs, index_t count, double* buf,
+                               float* wide) {
+  const unsigned char* row = l.bytes + packed_row_offset(l.storage, r);
+  switch (l.storage) {
+    case PackedStorage::F64:
+      return reinterpret_cast<const double*>(row) + cs;
+    case PackedStorage::F32: {
+      const float* lr = reinterpret_cast<const float*>(row) + cs;
+      for (index_t t = 0; t < count; ++t) buf[t] = static_cast<double>(lr[t]);
+      return buf;
+    }
+    case PackedStorage::F16Scaled: {
+      float scale = 0.0f;
+      std::memcpy(&scale, row, sizeof(scale));
+      const double s = static_cast<double>(scale);
+      widen_f16_block(
+          reinterpret_cast<const common::half*>(row + sizeof(float)) + cs,
+          wide, count);
+      for (index_t t = 0; t < count; ++t) {
+        buf[t] = static_cast<double>(wide[t]) * s;
+      }
+      return buf;
+    }
+  }
+  return buf;
+}
+
+/// Applies factor rows [r, r + R) (all r >= c0) over columns [c0, c1), one
+/// strip of at most kStripDoubles / R columns at a time.
+template <int R>
+void apply_rows(const PackedFactorView& l, index_t r, index_t c0, index_t c1,
+                const double* z, double* x, index_t k_cols,
+                std::uint64_t keep) {
+  constexpr index_t kStripCols =
+      kStripDoubles / std::max<index_t>(R, kApplyRows);
+  double strip[R][kStripCols];  // written by strip_row before any read
+  float wide[kStripCols];
+  index_t c_end[R] = {};
+  for (int i = 0; i < R; ++i) c_end[i] = std::min(c1, r + i + 1);  // c <= r
+  for (index_t cs = c0; cs < c_end[R - 1]; cs += kStripCols) {
+    RowStrip<R> s = {};
+    for (int i = 0; i < R; ++i) {
+      s.count[i] = std::clamp<index_t>(c_end[i] - cs, 0, kStripCols);
+      s.row[i] = strip_row(l, r + i, cs, s.count[i], strip[i], wide);
+    }
+    for (index_t kb = 0; kb < k_cols; kb += kApplyCols) {
+      const index_t w = std::min(kApplyCols, k_cols - kb);
+      const double* zb = z + cs * k_cols + kb;
+      double* xb[R] = {};
+      for (int i = 0; i < R; ++i) xb[i] = x + (r + i) * k_cols + kb;
+      const std::uint64_t keep_b = keep >> kb;
+      if constexpr (R > kApplyRows) {  // tall groups serve one-vector batches
+        apply_block<R, 1>(s, zb, k_cols, xb, w, keep_b);
+      } else {
+        switch ((w + kLanes - 1) / kLanes) {
+          case 1: apply_block<R, 1>(s, zb, k_cols, xb, w, keep_b); break;
+          case 2: apply_block<R, 2>(s, zb, k_cols, xb, w, keep_b); break;
+          case 3: apply_block<R, 3>(s, zb, k_cols, xb, w, keep_b); break;
+          default: apply_block<R, 4>(s, zb, k_cols, xb, w, keep_b); break;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::size_t packed_factor_bytes(PackedStorage storage, index_t n) {
+  return packed_row_offset(storage, n);
+}
+
+void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
+                         index_t c0, index_t c1, const double* z, double* x,
+                         index_t k_cols, std::uint64_t skip) {
+  if (!sample_apply_live(l, r0, r1, c0, c1, k_cols, skip) || c0 == c1) return;
+  const std::uint64_t keep = ~skip;
+  index_t r = std::max(r0, c0);  // rows above c0 have an empty range
+  if (k_cols <= kLanes) {  // one vector per row: twice the rows in flight
+    for (; r + 2 * kApplyRows <= r1; r += 2 * kApplyRows) {
+      apply_rows<2 * kApplyRows>(l, r, c0, c1, z, x, k_cols, keep);
+    }
+  }
+  for (; r + kApplyRows <= r1; r += kApplyRows) {
+    apply_rows<kApplyRows>(l, r, c0, c1, z, x, k_cols, keep);
+  }
+  for (; r < r1; ++r) apply_rows<1>(l, r, c0, c1, z, x, k_cols, keep);
+}
+
+void sample_apply_packed_ref(const PackedFactorView& l, index_t r0,
+                             index_t r1, index_t c0, index_t c1,
+                             const double* z, double* x, index_t k_cols,
+                             std::uint64_t skip) {
+  if (!sample_apply_live(l, r0, r1, c0, c1, k_cols, skip)) return;
   for (index_t r = r0; r < r1; ++r) {
     const index_t c_end = std::min(c1, r + 1);  // lower triangle: c <= r
     if (c_end <= c0) continue;

@@ -204,6 +204,15 @@ void gemm_nt_minus_ref_f32(const float* a, const float* b, float* c, index_t m,
 void syrk_ln_minus_ref_f64(const double* a, double* c, index_t m, index_t k);
 void syrk_ln_minus_ref_f32(const float* a, float* c, index_t m, index_t k);
 
+/// The scalar sampling apply: one k-wide axpy per factor element, widening
+/// f32/f16 entries at read. sample_apply_packed (below) must match it byte
+/// for byte; `scripts/check.sh --lint` keeps it out of the rest of src/.
+struct PackedFactorView;
+void sample_apply_packed_ref(const PackedFactorView& l, index_t r0,
+                             index_t r1, index_t c0, index_t c1,
+                             const double* z, double* x, index_t k_cols,
+                             std::uint64_t skip);
+
 // --- Precision conversion ---------------------------------------------------
 
 /// Element-wise conversions (round-to-nearest-even where narrowing).
@@ -280,7 +289,9 @@ std::size_t packed_factor_bytes(PackedStorage storage, index_t n);
 /// is fixed ascending — combined with the sampling DAG serializing the block
 /// passes over each X row in ascending block-column order, a request's
 /// column is bit-identical for any batch width, co-batched request set, or
-/// thread count. Widening (f32/f16 storage) happens per element, at read.
+/// thread count. A register block of rows x columns accumulates in place:
+/// F64 rows are read where they lie, F32/F16 rows are widened once per
+/// strip of at most 256 columns into a stack buffer. Allocates nothing.
 void sample_apply_packed(const PackedFactorView& l, index_t r0, index_t r1,
                          index_t c0, index_t c1, const double* z, double* x,
                          index_t k_cols, std::uint64_t skip);

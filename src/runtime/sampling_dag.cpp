@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace exaclim::runtime {
@@ -151,13 +152,24 @@ RunStats sample_panel(const linalg::PackedFactorView& factor,
   const index_t n = factor.n;
   panel.width = k_cols;
   panel.z.resize(static_cast<std::size_t>(n * k_cols));
+  // Eight columns are one 64-byte line of a z row, so column groups of 8
+  // fill in parallel without sharing a line; each column's stream still
+  // runs sequentially over c, so the bytes do not depend on the split.
+  constexpr index_t kFillGroup = 8;
   const common::Rng master(seed);
-  for (index_t k = 0; k < k_cols; ++k) {
-    common::Rng stream = master.split(stream_ids[static_cast<std::size_t>(k)]);
-    for (index_t c = 0; c < n; ++c) {
-      panel.z[static_cast<std::size_t>(c * k_cols + k)] = stream.normal();
-    }
-  }
+  double* z = panel.z.data();
+  common::parallel_for(
+      0, (k_cols + kFillGroup - 1) / kFillGroup,
+      [&](index_t g) {
+        const index_t k1 = std::min(k_cols, (g + 1) * kFillGroup);
+        for (index_t k = g * kFillGroup; k < k1; ++k) {
+          common::Rng stream =
+              master.split(stream_ids[static_cast<std::size_t>(k)]);
+          for (index_t c = 0; c < n; ++c) z[c * k_cols + k] = stream.normal();
+        }
+      },
+      scheduler_options.threads == 0 ? common::default_thread_count()
+                                     : scheduler_options.threads);
   panel.x.assign(static_cast<std::size_t>(n * k_cols), 0.0);
   const TaskGraph graph = build_sampling_dag(
       factor, panel.z.data(), panel.x.data(), k_cols, control, dag_options);

@@ -39,18 +39,14 @@ namespace exaclim::runtime {
 struct BatchControl {
   static constexpr index_t kMaxBatch = 64;  ///< mask width
 
-  /// Bit k set = batch column k is cancelled (deadline expired or caller
-  /// cancelled). Tasks skip cancelled columns; their X values are garbage
-  /// by contract.
+  /// Bit k set = batch column k is cancelled (its deadline expired; poll()
+  /// is the only writer). Tasks skip cancelled columns; their X values are
+  /// garbage by contract.
   std::atomic<std::uint64_t> cancelled{0};
 
   /// Per-column deadlines; time_point::max() = none. Sized to the batch
   /// width before launch and not resized afterwards.
   std::vector<std::chrono::steady_clock::time_point> deadlines;
-
-  void cancel(index_t k) {
-    cancelled.fetch_or(std::uint64_t{1} << k, std::memory_order_acq_rel);
-  }
 
   /// Marks every column whose deadline is at or before `now` cancelled and
   /// returns the resulting mask. Called by task bodies at entry.
@@ -82,7 +78,9 @@ struct SamplePanel {
 };
 
 /// Draws K = stream_ids.size() (1..64) columns over `factor` on the task
-/// runtime. `control` may be null (see build_sampling_dag).
+/// runtime. `control` may be null (see build_sampling_dag). Z is filled in
+/// parallel, one group of 8 columns per worker, with the participant count
+/// `scheduler_options.threads` asks for.
 RunStats sample_panel(const linalg::PackedFactorView& factor,
                       std::uint64_t seed,
                       std::span<const std::uint64_t> stream_ids,

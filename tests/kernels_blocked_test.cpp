@@ -5,10 +5,12 @@
 // KC/MC — which are runtime-tuned now, so the shape lists below combine a
 // fixed set (covering the default 96/256 blocking) with boundaries queried
 // from the active tuning. The suite must pass under any tuning the
-// autotuner may select, not just the compiled-in defaults.
+// autotuner may select, not just the compiled-in defaults. The packed
+// sampling apply is held to a stricter rule: byte equality with its oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -259,6 +261,119 @@ TEST(KernelsBlocked, GemmZeroSizesAreNoops) {
   gemm_nt_minus_f64(nullptr, nullptr, c.data(), 4, 0, 4);
   gemm_nt_minus_f64(nullptr, nullptr, c.data(), 4, 4, 0);
   EXPECT_EQ(c, before);
+}
+
+/// A random packed lower factor with an 8-aligned payload, as the model
+/// file lays it out. F16Scaled rows mix normal and subnormal halves under
+/// unit, power-of-two and non-power-of-two row scales.
+struct PackedFactor {
+  std::vector<double> words;  // backing store (8-byte aligned)
+  PackedFactorView view;
+};
+
+PackedFactor random_packed_factor(PackedStorage storage, index_t n,
+                                  std::uint64_t seed) {
+  PackedFactor f;
+  const std::size_t bytes = packed_factor_bytes(storage, n);
+  f.words.assign((bytes + 7) / 8, 0.0);
+  auto* out = reinterpret_cast<unsigned char*>(f.words.data());
+  auto put = [&out](const auto& value) {
+    std::memcpy(out, &value, sizeof(value));
+    out += sizeof(value);
+  };
+  common::Rng rng(seed);
+  for (index_t r = 0; r < n; ++r) {
+    if (storage == PackedStorage::F16Scaled) {
+      put(r % 3 == 0 ? 1.0f : r % 3 == 1 ? 0.375f : std::ldexp(1.0f, -9));
+    }
+    for (index_t c = 0; c <= r; ++c) {
+      const double v = rng.normal();
+      if (storage == PackedStorage::F64) put(v);
+      if (storage == PackedStorage::F32) put(static_cast<float>(v));
+      if (storage == PackedStorage::F16Scaled) {
+        const auto sign = static_cast<std::uint16_t>(v < 0.0 ? 0x8000u : 0u);
+        const auto mant = static_cast<std::uint16_t>(rng.uniform_u64(0x400));
+        const auto exp = static_cast<std::uint16_t>(  // 0 = subnormal
+            rng.uniform() < 0.25 ? 0 : 1 + rng.uniform_u64(30));
+        put(static_cast<std::uint16_t>(sign | (exp << 10) | mant));
+      }
+    }
+  }
+  f.view = {reinterpret_cast<const unsigned char*>(f.words.data()), bytes, n,
+            storage};
+  return f;
+}
+
+TEST(KernelsBlocked, SampleApplyMatchesRefBytes) {
+  constexpr index_t n = 301;
+  common::Rng rng(2024);
+  auto draw = [&rng](index_t lo, index_t hi) {  // uniform in [lo, hi]
+    return lo + static_cast<index_t>(rng.uniform_u64(
+                    static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  for (const PackedStorage storage :
+       {PackedStorage::F64, PackedStorage::F32, PackedStorage::F16Scaled}) {
+    const PackedFactor f =
+        random_packed_factor(storage, n, 40 + static_cast<int>(storage));
+    std::vector<index_t> widths = {1, 8, 9, 16, 33, 64};
+    for (int i = 0; i < 4; ++i) widths.push_back(draw(1, 64));
+    for (const index_t k : widths) {
+      const auto z = random_vec<double>(n * k, 100 + k);
+      const auto x0 = random_vec<double>(n * k, 200 + k);  // prior pass
+      const std::uint64_t all =
+          k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+      const std::uint64_t masks[] = {
+          0, rng.next_u64() & all,
+          all & ~(std::uint64_t{1} << draw(0, k - 1)),  // all but one
+          all};
+      const index_t tiles[] = {draw(2, n + 20), 128, 256};
+      for (const index_t tile : tiles) {
+        for (const std::uint64_t skip : masks) {
+          std::vector<double> got = x0;
+          std::vector<double> want = x0;
+          auto apply = [&](index_t r0, index_t r1, index_t c0, index_t c1) {
+            sample_apply_packed(f.view, r0, r1, c0, c1, z.data(), got.data(),
+                                k, skip);
+            sample_apply_packed_ref(f.view, r0, r1, c0, c1, z.data(),
+                                    want.data(), k, skip);
+          };
+          // Every DAG block, in DAG order (block rows outer, ascending bj).
+          const index_t nb = (n + tile - 1) / tile;
+          for (index_t bi = 0; bi < nb; ++bi) {
+            for (index_t bj = 0; bj <= bi; ++bj) {
+              apply(bi * tile, std::min(n, (bi + 1) * tile), bj * tile,
+                    std::min(n, (bj + 1) * tile));
+            }
+          }
+          // Whole-factor strips, and an off-grid block whose top rows
+          // (r < c0) have an empty range.
+          apply(0, n, 0, n);
+          const index_t c0 = draw(1, n - 1);
+          const index_t c1 = draw(c0, n);
+          apply(draw(0, c0 - 1), n, c0, c1);
+          const std::string where =
+              "storage=" + std::to_string(static_cast<int>(storage)) +
+              " k=" + std::to_string(k) + " tile=" + std::to_string(tile) +
+              " skip=" + std::to_string(skip);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << where;
+          index_t moved = 0;  // cancelled entries that changed
+          for (index_t c = 0; c < n; ++c) {
+            for (index_t kk = 0; kk < k; ++kk) {
+              const auto i = static_cast<std::size_t>(c * k + kk);
+              if (((skip >> kk) & 1u) != 0 &&
+                  std::memcmp(&got[i], &x0[i], sizeof(double)) != 0) {
+                ++moved;
+              }
+            }
+          }
+          EXPECT_EQ(moved, 0) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
