@@ -45,10 +45,14 @@ run() { echo "+ $*" >&2; "$@"; }
 #     and the dense sample_mvn has no caller in src/ outside linalg/solve.*
 #     (it is the reference tests compare against) — one sampling engine for
 #     serving and emulation;
-#   * the training stages (fit_trend, fit_ar_ensemble, prepare_covariance,
-#     validate_dataset) are called in src/ only from core/emulator.cpp,
-#     apart from their own stats/ and climate/validate.* files — one
-#     training pipeline (core::train_variables) for both emulators.
+#   * the training stages (fit_trend, fit_trends, fit_ar_ensemble,
+#     prepare_covariance, validate_dataset) are called in src/ only from
+#     core/emulator.cpp, apart from their own stats/ and climate/validate.*
+#     files — one training pipeline (core::train_variables) for both
+#     emulators;
+#   * the training kernels' scalar oracles (fit_trend_ref,
+#     empirical_covariance_ref) appear in src/ only in their own stats/
+#     files — tests compare against them, the pipeline never runs them.
 lint() {
   local fail=0
 
@@ -132,11 +136,27 @@ lint() {
     fail=1
   fi
 
-  hits="$(grep -rnE '\b(fit_trend|fit_ar_ensemble|prepare_covariance|validate_dataset)\(' src \
+  hits="$(grep -rnE '\b(fit_trends?|fit_ar_ensemble|prepare_covariance|validate_dataset)\(' src \
           | grep -vE '^src/(core/emulator\.cpp|stats/(trend|ar|covariance)\.(hpp|cpp)|climate/validate\.(hpp|cpp)):' \
           || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: training stage called outside core/emulator.cpp (train through core::train_variables):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bfit_trend_ref\(' src \
+          | grep -vE '^src/stats/trend\.(hpp|cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: fit_trend_ref (the scalar oracle) used outside stats/trend.*:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bempirical_covariance_ref\(' src \
+          | grep -vE '^src/stats/covariance\.(hpp|cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: empirical_covariance_ref (the scalar oracle) used outside stats/covariance.*:" >&2
     echo "$hits" >&2
     fail=1
   fi

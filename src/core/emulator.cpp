@@ -110,34 +110,15 @@ TrainedVariables train_variables(
   for (index_t v = 0; v < num_vars; ++v) {
     const climate::ClimateDataset& var = *sources[static_cast<std::size_t>(v)];
 
-    // ---- Stage 1: per-location trend/scale (Eq. 2) -----------------------
+    // ---- Stage 1: per-location trend/scale (Eq. 2) and its m_t cache ------
     stage.reset();
     auto& trend = out.trend[static_cast<std::size_t>(v)];
-    trend.assign(static_cast<std::size_t>(num_points), stats::TrendModel{});
-    common::parallel_for(
-        0, num_points,
-        [&](index_t p) {
-          // Stack the R series for this point (r-major).
-          std::vector<double> y(static_cast<std::size_t>(R * T));
-          for (index_t r = 0; r < R; ++r) {
-            for (index_t t = 0; t < T; ++t) {
-              y[static_cast<std::size_t>(r * T + t)] =
-                  var.field(r, t)[static_cast<std::size_t>(p)];
-            }
-          }
-          trend[static_cast<std::size_t>(p)] =
-              stats::fit_trend(y, R, T, annual_forcing, trend_cfg);
-        },
-        threads);
+    trend = stats::fit_trends(var.raw(), num_points, R, T, annual_forcing,
+                              trend_cfg, threads);
+    // Cache m_t once (shared across ensembles), step-major.
+    const std::vector<double> trend_series =
+        stats::trend_series_all(trend, T, annual_forcing, threads);
     report.trend_seconds += stage.seconds();
-
-    // Cache m_t once (shared across ensembles).
-    std::vector<std::vector<double>> trend_series_per_point(
-        static_cast<std::size_t>(num_points));
-    common::parallel_for(0, num_points, [&](index_t p) {
-      trend_series_per_point[static_cast<std::size_t>(p)] = stats::trend_series(
-          trend[static_cast<std::size_t>(p)], T, annual_forcing);
-    });
 
     // ---- Stage 2: SHT of the standardized stochastic component -----------
     stage.reset();
@@ -153,11 +134,10 @@ TrainedVariables train_variables(
           const index_t t = rt % T;
           const auto obs = var.field(r, t);
           std::vector<double> z(static_cast<std::size_t>(num_points));
+          const double* m_t = trend_series.data() + t * num_points;
           for (index_t p = 0; p < num_points; ++p) {
             z[static_cast<std::size_t>(p)] =
-                (obs[static_cast<std::size_t>(p)] -
-                 trend_series_per_point[static_cast<std::size_t>(p)]
-                                       [static_cast<std::size_t>(t)]) /
+                (obs[static_cast<std::size_t>(p)] - m_t[p]) /
                 trend[static_cast<std::size_t>(p)].sigma;
           }
           const std::vector<cplx> coeffs = plan.analyze(z);
@@ -220,9 +200,14 @@ TrainedVariables train_variables(
         ++row;
       }
     }
-  });
+  }, threads);
+  // The joint state and then the innovations die here: freeing them keeps
+  // U-hat's working set (packed samples, U-hat, the Cholesky tiles) from
+  // stacking on top of them.
+  f = linalg::Matrix();
   const stats::PreparedCovariance prepared =
-      stats::prepare_covariance(xi, config.jitter_base);
+      stats::prepare_covariance(xi, config.jitter_base, threads);
+  xi = linalg::Matrix();
   report.covariance_jitter = prepared.jitter;
   report.covariance_deficient = prepared.was_deficient;
   // The cross-variable diagnostic needs U-hat, which training does not keep.
@@ -287,15 +272,13 @@ std::vector<climate::ClimateDataset> emulate_variables(
 
   // Trend series m_t per variable and point, shared across members.
   std::vector<climate::ClimateDataset> out;
-  std::vector<std::vector<std::vector<double>>> trend_series;  // [v][p][t]
+  std::vector<std::vector<double>> trend_series;  // [v][t * points + p]
+  const unsigned threads =
+      config.threads == 0 ? common::default_thread_count() : config.threads;
   for (const auto& var_trend : trend) {
     out.emplace_back(plan.grid(), num_steps, num_ensembles, tau);
-    auto& per_point =
-        trend_series.emplace_back(static_cast<std::size_t>(num_points));
-    common::parallel_for(0, num_points, [&](index_t p) {
-      per_point[static_cast<std::size_t>(p)] = stats::trend_series(
-          var_trend[static_cast<std::size_t>(p)], num_steps, annual_forcing);
-    });
+    trend_series.push_back(stats::trend_series_all(var_trend, num_steps,
+                                                   annual_forcing, threads));
   }
 
   const std::vector<double> packed = linalg::pack_lower(factor);
@@ -351,19 +334,19 @@ std::vector<climate::ClimateDataset> emulate_variables(
                 plan.synthesize(sht::unpack_real(L, coeffs));
             const auto& var_trend = trend[static_cast<std::size_t>(v)];
             const auto& var_nugget = nugget_var[static_cast<std::size_t>(v)];
-            const auto& series = trend_series[static_cast<std::size_t>(v)];
+            const double* m_t =
+                trend_series[static_cast<std::size_t>(v)].data() +
+                t * num_points;
             auto dst = out[static_cast<std::size_t>(v)].field(r, t);
             for (index_t p = 0; p < num_points; ++p) {
               const auto q = static_cast<std::size_t>(p);
               const double z =
                   field[q] + std::sqrt(var_nugget[q]) * nug.normal();
-              dst[q] = series[q][static_cast<std::size_t>(t)] +
-                       var_trend[q].sigma * z;
+              dst[q] = m_t[p] + var_trend[q].sigma * z;
             }
           }
         },
-        config.threads == 0 ? common::default_thread_count()
-                            : config.threads);
+        threads);
   }
   return out;
 }

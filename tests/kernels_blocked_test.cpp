@@ -6,16 +6,23 @@
 // fixed set (covering the default 96/256 blocking) with boundaries queried
 // from the active tuning. The suite must pass under any tuning the
 // autotuner may select, not just the compiled-in defaults. The packed
-// sampling apply is held to a stricter rule: byte equality with its oracle.
+// sampling apply and the training kernels (the batched trend fit, the
+// harmonic-table trend series and the blocked innovation covariance) are
+// held to a stricter rule: byte equality with their oracles.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "linalg/kernels.hpp"
+#include "stats/covariance.hpp"
+#include "stats/trend.hpp"
 
 namespace {
 
@@ -370,6 +377,191 @@ TEST(KernelsBlocked, SampleApplyMatchesRefBytes) {
             }
           }
           EXPECT_EQ(moved, 0) << where;
+        }
+      }
+    }
+  }
+}
+
+bool same_bytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(KernelsBlocked, CovarianceMatchesRefBytes) {
+  // Pipebench's train-daily and emulate shapes, then sizes that leave
+  // partial 8-row and 16-column blocks, down to a single entry.
+  const std::pair<index_t, index_t> shapes[] = {
+      {1086, 784}, {506, 1024}, {301, 257}, {50, 37}, {7, 9}, {1, 1}};
+  for (const auto& [n, d] : shapes) {
+    linalg::Matrix samples(n, d);
+    common::Rng rng(static_cast<std::uint64_t>(n * 7919 + d));
+    for (index_t i = 0; i < n * d; ++i) samples.data()[i] = rng.normal();
+    const linalg::Matrix want = stats::empirical_covariance_ref(samples);
+    for (const unsigned threads : {1u, 4u}) {
+      const linalg::Matrix got =
+          stats::empirical_covariance_parallel(samples, threads);
+      ASSERT_EQ(got.rows(), d);
+      ASSERT_EQ(got.cols(), d);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(d * d) * sizeof(double)),
+                0)
+          << "n=" << n << " d=" << d << " threads=" << threads;
+    }
+  }
+}
+
+/// One synthetic ESM and the trend configuration fitted to it.
+struct TrendCase {
+  sht::GridShape grid;
+  index_t steps_per_year;
+  index_t years;
+  index_t ensembles;
+  index_t harmonics;
+  std::vector<double> rho_grid;  // empty: the default 20-point profile
+};
+
+TEST(KernelsBlocked, TrendFitMatchesRefBytes) {
+  const TrendCase cases[] = {
+      {{29, 60}, 365, 1, 3, 5, {}},  // pipebench train-daily
+      {{33, 64}, 64, 4, 2, 5, {}},   // pipebench emulate/serve model
+      {{17, 32}, 48, 3, 2, 5, {}},
+      {{17, 32}, 64, 2, 1, 5, {}},  // R = 1
+      {{9, 16}, 32, 2, 5, 3, {}},   // R = 5: a full 4-wide chunk of the SSE
+      {{17, 32}, 64, 2, 2, 0, {}},  // K = 0
+      {{17, 32}, 64, 2, 2, 5, {0.35}},  // a one-rho custom grid
+  };
+  for (const TrendCase& c : cases) {
+    climate::SyntheticEsmConfig esm_cfg;
+    esm_cfg.band_limit = 8;
+    esm_cfg.grid = c.grid;
+    esm_cfg.num_years = c.years;
+    esm_cfg.steps_per_year = c.steps_per_year;
+    esm_cfg.num_ensembles = c.ensembles;
+    const climate::SyntheticEsm esm = climate::generate_synthetic_esm(esm_cfg);
+    stats::TrendFitConfig cfg;
+    cfg.harmonics = c.harmonics;
+    cfg.period = c.steps_per_year;
+    cfg.rho_grid = c.rho_grid;
+    const index_t points = c.grid.num_points();
+    const index_t R = c.ensembles;
+    const index_t T = c.years * c.steps_per_year;
+
+    std::vector<stats::TrendModel> want(static_cast<std::size_t>(points));
+    common::parallel_for(0, points, [&](index_t p) {
+      std::vector<double> y(static_cast<std::size_t>(R * T));
+      for (index_t rt = 0; rt < R * T; ++rt) {
+        y[static_cast<std::size_t>(rt)] =
+            esm.data.raw()[static_cast<std::size_t>(rt * points + p)];
+      }
+      want[static_cast<std::size_t>(p)] =
+          stats::fit_trend_ref(y, R, T, esm.forcing, cfg);
+    });
+    for (const unsigned threads : {1u, 4u}) {
+      const std::vector<stats::TrendModel> got = stats::fit_trends(
+          esm.data.raw(), points, R, T, esm.forcing, cfg, threads);
+      ASSERT_EQ(got.size(), want.size());
+      index_t differing = 0;
+      std::string first;
+      for (std::size_t p = 0; p < want.size(); ++p) {
+        const stats::TrendModel& g = got[p];
+        const stats::TrendModel& w = want[p];
+        const bool same = same_bytes(g.beta0, w.beta0) &&
+                          same_bytes(g.beta1, w.beta1) &&
+                          same_bytes(g.beta2, w.beta2) &&
+                          same_bytes(g.rho, w.rho) &&
+                          same_bytes(g.sigma, w.sigma) &&
+                          g.period == w.period &&
+                          same_bytes(g.cos_coeff, w.cos_coeff) &&
+                          same_bytes(g.sin_coeff, w.sin_coeff);
+        if (!same && differing++ == 0) first = std::to_string(p);
+      }
+      EXPECT_EQ(differing, 0)
+          << "grid " << c.grid.nlat << "x" << c.grid.nlon << " tau "
+          << c.steps_per_year << " R " << R << " K " << c.harmonics
+          << " threads " << threads << ": first differing point " << first;
+    }
+
+    // The one-point entry point is the same fit.
+    std::vector<double> y0(static_cast<std::size_t>(R * T));
+    for (index_t rt = 0; rt < R * T; ++rt) {
+      y0[static_cast<std::size_t>(rt)] =
+          esm.data.raw()[static_cast<std::size_t>(rt * points)];
+    }
+    const stats::TrendModel one = stats::fit_trend(y0, R, T, esm.forcing, cfg);
+    EXPECT_TRUE(same_bytes(one.beta0, want[0].beta0) &&
+                same_bytes(one.rho, want[0].rho) &&
+                same_bytes(one.sigma, want[0].sigma) &&
+                same_bytes(one.cos_coeff, want[0].cos_coeff));
+  }
+}
+
+/// m_t with two trig calls per harmonic and step: the evaluation the
+/// harmonic table replaced.
+std::vector<double> trend_series_trig(const stats::TrendModel& model,
+                                      index_t num_steps,
+                                      std::span<const double> forcing) {
+  const std::vector<double> lagged =
+      stats::lagged_forcing(forcing, num_steps, model.period, model.rho);
+  std::vector<double> out(static_cast<std::size_t>(num_steps));
+  for (index_t t = 1; t <= num_steps; ++t) {
+    const index_t year = (t + model.period - 1) / model.period;
+    double v = model.beta0 +
+               model.beta1 * forcing[static_cast<std::size_t>(year - 1)] +
+               model.beta2 * lagged[static_cast<std::size_t>(t - 1)];
+    for (std::size_t k = 1; k <= model.cos_coeff.size(); ++k) {
+      const double angle = kTwoPi * static_cast<double>(t) *
+                           static_cast<double>(k) /
+                           static_cast<double>(model.period);
+      v += model.cos_coeff[k - 1] * std::cos(angle) +
+           model.sin_coeff[k - 1] * std::sin(angle);
+    }
+    out[static_cast<std::size_t>(t - 1)] = v;
+  }
+  return out;
+}
+
+TEST(KernelsBlocked, TrendSeriesTableMatchesTrigBytes) {
+  common::Rng rng(77);
+  std::vector<double> forcing(12);
+  for (auto& f : forcing) f = rng.normal(1.0, 0.5);
+  for (const index_t harmonics : {0, 1, 5, 7}) {
+    for (const index_t period : {1, 12, 64, 365}) {
+      const index_t steps = std::min<index_t>(12 * period, 1500);
+      std::vector<stats::TrendModel> models(9);
+      for (std::size_t p = 0; p < models.size(); ++p) {
+        stats::TrendModel& m = models[p];
+        m.beta0 = rng.normal(280.0, 10.0);
+        m.beta1 = rng.normal();
+        m.beta2 = rng.normal();
+        m.rho = 0.05 * static_cast<double>(p);
+        for (index_t k = 0; k < harmonics; ++k) {
+          m.cos_coeff.push_back(rng.normal(0.0, 5.0));
+          m.sin_coeff.push_back(rng.normal(0.0, 5.0));
+        }
+        m.period = period;
+      }
+      models.back().period = period + 1;  // off-table: a per-call table
+      for (const unsigned threads : {1u, 4u}) {
+        const std::vector<double> all =
+            stats::trend_series_all(models, steps, forcing, threads);
+        ASSERT_EQ(all.size(), models.size() * static_cast<std::size_t>(steps));
+        for (std::size_t p = 0; p < models.size(); ++p) {
+          const std::vector<double> want =
+              trend_series_trig(models[p], steps, forcing);
+          std::vector<double> column(want.size());
+          for (std::size_t t = 0; t < column.size(); ++t) {
+            column[t] = all[t * models.size() + p];
+          }
+          EXPECT_TRUE(same_bytes(column, want))
+              << "K " << harmonics << " tau " << period << " model " << p;
+          EXPECT_TRUE(same_bytes(
+              stats::trend_series(models[p], steps, forcing), want));
         }
       }
     }
