@@ -8,9 +8,11 @@
 // --gbench to additionally run the full Google-benchmark suite below.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -112,8 +114,40 @@ BENCHMARK(BM_PackUnpack)->Arg(32)->Arg(128);
 void write_sht_json() {
   using exaclim::bench::time_op;
   exaclim::bench::JsonBench out;
-  for (index_t L : {16, 32, 64, 96, 128}) {
-    const GridShape grid{L + 1, 2 * L};
+  // One forward FFT per length: pipebench's rings (60 longitudes and 56
+  // colatitude samples on the daily grid, 64 on the emulate grid), powers of
+  // two, 7-smooth SHT lengths up to ERA5's 1440, and the Bluestein primes 97
+  // and 719. Each timed op copies the n-value input back first, so repeated
+  // transforms never overflow.
+  for (index_t n : {32, 56, 60, 64, 97, 192, 719, 720, 1440}) {
+    const auto plan = fft::get_plan(n);
+    common::Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<cplx> input(static_cast<std::size_t>(n));
+    for (auto& v : input) v = {rng.normal(), rng.normal()};
+    std::vector<cplx> work(input.size());
+    const double t = time_op([&] {
+      std::copy(input.begin(), input.end(), work.begin());
+      plan->forward(work.data());
+      benchmark::DoNotOptimize(work.data());
+      benchmark::ClobberMemory();
+    });
+    index_t r = n;
+    for (index_t p : {2, 3, 5, 7}) {
+      while (r % p == 0) r /= p;
+    }
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"fft_n\": %lld, \"path\": \"%s\", \"forward_us\": %.4f}",
+                  static_cast<long long>(n), r == 1 ? "stockham" : "bluestein",
+                  t * 1e6);
+    out.add(buf);
+  }
+  // SHT rows on L + 1 by 2L grids, plus pipebench's train-daily model shape
+  // (29 x 60, L = 28); its emulate shape is the L = 32 row.
+  const std::pair<index_t, GridShape> shapes[] = {
+      {16, {17, 32}},  {28, {29, 60}},   {32, {33, 64}},
+      {64, {65, 128}}, {96, {97, 192}}, {128, {129, 256}}};
+  for (const auto& [L, grid] : shapes) {
     const SHTPlan plan(L, grid);
     const auto coeffs = random_coeffs(L, 1);
     const auto field = plan.synthesize(coeffs);

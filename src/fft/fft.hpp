@@ -2,15 +2,27 @@
 //
 // The SHT of the paper (Eq. 4-8) needs DFTs along longitude (length N_phi)
 // and along the extended colatitude (length 2*N_theta - 2); neither is a
-// power of two for ERA5-style grids (N_phi = 1440, N_theta = 721). We provide
-// an iterative radix-2 Cooley-Tukey transform for power-of-two lengths and
-// Bluestein's chirp-z algorithm for everything else, both behind a cached
-// Plan so twiddle factors are computed once per length.
+// power of two for ERA5-style grids (N_phi = 1440 = 2^5 3^2 5, N_theta = 721).
+//
+// One engine does the arithmetic: a mixed-radix Stockham autosort DIF
+// transform (Frigo & Johnson, "The Design and Implementation of FFTW3",
+// Proc. IEEE 2005) for every length whose prime factors are all <= 7. It
+// factors n into radices 4 (while they divide), 2, 3, 5, 7 and ping-pongs
+// between the caller's buffer and a scratch buffer, natural order in and
+// out; radices 2, 3 and 4 have specialized butterflies, 5 and 7 a generic
+// odd-radix kernel. A length with a prime factor > 7 takes Bluestein's
+// chirp-z algorithm, whose convolution of length next_pow2(2n - 1) runs on
+// the same engine. Twiddles, the chirp and the convolution filter's FFT are
+// built once per length behind a cached Plan.
+//
+// Scratch lives in one thread_local buffer per thread, grown to the largest
+// need seen (n values for the engine, 2 * next_pow2(2n - 1) for Bluestein),
+// so execute allocates only when a thread first meets a larger length.
 //
 // Conventions:
 //   forward:  X[k] = sum_n x[n] * exp(-2*pi*i*n*k/N)
 //   inverse:  x[n] = (1/N) * sum_k X[k] * exp(+2*pi*i*n*k/N)
-// so inverse(forward(x)) == x.
+// so inverse(forward(x)) == x. The inverse is conj(forward(conj x)) / N.
 #pragma once
 
 #include <memory>
@@ -21,7 +33,8 @@
 namespace exaclim::fft {
 
 /// A reusable transform of fixed length. Thread-safe for concurrent execute
-/// calls once constructed (all mutable state lives in caller buffers).
+/// calls once constructed: the plan's tables are read-only, and all mutable
+/// state lives in the caller's buffer and the calling thread's scratch.
 class Plan {
  public:
   /// Builds a plan for length n >= 1.

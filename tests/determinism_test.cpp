@@ -87,10 +87,10 @@ struct TempFile {
   std::string path;
 };
 
-climate::SyntheticEsmConfig tiny_esm() {
+climate::SyntheticEsmConfig tiny_esm(sht::GridShape grid = {9, 16}) {
   climate::SyntheticEsmConfig cfg;
   cfg.band_limit = 8;
-  cfg.grid = {9, 16};
+  cfg.grid = grid;
   cfg.num_years = 4;
   cfg.steps_per_year = 48;
   cfg.num_ensembles = 2;
@@ -109,8 +109,9 @@ core::EmulatorConfig tiny_config() {
 }
 
 std::vector<unsigned char> train_model_bytes(core::EmulatorConfig cfg,
-                                             const std::string& tag) {
-  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+                                             const std::string& tag,
+                                             sht::GridShape grid = {9, 16}) {
+  const auto esm = climate::generate_synthetic_esm(tiny_esm(grid));
   core::ClimateEmulator emulator(cfg);
   emulator.train(esm.data, esm.forcing);
   TempFile model("determinism_" + tag + ".bin");
@@ -121,14 +122,23 @@ std::vector<unsigned char> train_model_bytes(core::EmulatorConfig cfg,
 TEST(TrainDeterminism, ModelBytesIdenticalAcrossThreadCounts) {
   // The acceptance criterion of the deterministic-reduction work: two train
   // runs at different --threads produce byte-identical EXACMDL4 artifacts.
-  core::EmulatorConfig cfg = tiny_config();
-  cfg.threads = 1;
-  const auto bytes1 = train_model_bytes(cfg, "t1");
-  cfg.threads = 4;
-  const auto bytes4 = train_model_bytes(cfg, "t4");
-  ASSERT_EQ(bytes1.size(), bytes4.size());
-  EXPECT_TRUE(bytes1 == bytes4)
-      << "model artifact differs between --threads 1 and --threads 4";
+  // The grids cover every FFT path: 16-point rings (radix 4), 30 = 2*3*5
+  // longitudes with 28 = 4*7 colatitude rings (radices 2, 3, 4, 5, 7), and
+  // 22 = 2*11 longitudes (Bluestein), each reusing per-thread FFT scratch.
+  for (const sht::GridShape grid : {sht::GridShape{9, 16},
+                                    sht::GridShape{15, 30},
+                                    sht::GridShape{9, 22}}) {
+    SCOPED_TRACE("grid " + std::to_string(grid.nlat) + "x" +
+                 std::to_string(grid.nlon));
+    core::EmulatorConfig cfg = tiny_config();
+    cfg.threads = 1;
+    const auto bytes1 = train_model_bytes(cfg, "t1", grid);
+    cfg.threads = 4;
+    const auto bytes4 = train_model_bytes(cfg, "t4", grid);
+    ASSERT_EQ(bytes1.size(), bytes4.size());
+    EXPECT_TRUE(bytes1 == bytes4)
+        << "model artifact differs between --threads 1 and --threads 4";
+  }
 }
 
 TEST(TrainDeterminism, RepeatedRunsIdentical) {
