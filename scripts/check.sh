@@ -34,8 +34,10 @@ run() { echo "+ $*" >&2; "$@"; }
 #   * std::memory_order_relaxed only in the audited lock-free modules listed
 #     below — everywhere else the default seq_cst stays until a relaxation
 #     has been argued through and the file added here;
-#   * no direct fopen outside common/io.cpp — all file I/O funnels through
-#     the checksummed, quarantine-aware io layer;
+#   * no raw file writes (std::ofstream, fopen, ::write(, writev(, fsync(,
+#     fdatasync() in src/ outside common/io.cpp — every file goes through
+#     atomic_write_file (temp + sync + rename, retries, fault injection), so
+#     no crash or full disk can leave a torn artifact;
 #   * the tile-factorization kernels (potrf/trsm/syrk/gemm) are called in
 #     src/ only from runtime/tiled_cholesky_rt.cpp — one tiled Cholesky
 #     engine, so a second copy cannot creep back in;
@@ -94,10 +96,17 @@ lint() {
     fail=1
   fi
 
-  hits="$(grep -rn '\bfopen\b' src examples | grep -v 'src/common/io\.cpp' \
-          || true)"
+  hits="$(grep -rn '\bfopen\b' examples || true)"
   if [[ -n "$hits" ]]; then
-    echo "lint: direct fopen outside common/io.cpp:" >&2
+    echo "lint: direct fopen in examples/:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bstd::ofstream\b|\bfopen\b|(^|[^[:alnum:]_])::write\(|\bwritev\(|\bf(data)?sync\(' src \
+          | grep -v '^src/common/io\.cpp:' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: raw file write outside common/io.cpp (use atomic_write_file):" >&2
     echo "$hits" >&2
     fail=1
   fi

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/io.hpp"
 
 namespace exaclim::climate {
 
@@ -62,15 +63,13 @@ std::vector<double> ClimateDataset::time_series(index_t ensemble, index_t lat,
 }
 
 void ClimateDataset::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open for writing: " + path);
-  out.write(kMagic, sizeof(kMagic));
   const index_t header[5] = {grid_.nlat, grid_.nlon, num_steps_,
                              num_ensembles_, steps_per_year_};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(data_.size() * sizeof(double)));
-  if (!out) throw IoError("write failed: " + path);
+  const common::IoPiece pieces[] = {
+      {kMagic, sizeof(kMagic)},
+      {header, sizeof(header)},
+      {data_.data(), data_.size() * sizeof(double)}};
+  common::atomic_write_file(path, pieces);
 }
 
 ClimateDataset ClimateDataset::load(const std::string& path) {

@@ -40,7 +40,8 @@ class ClimateDataset {
   std::vector<double>& raw() { return data_; }
   const std::vector<double>& raw() const { return data_; }
 
-  /// Simple binary format (header + little-endian doubles).
+  /// Simple binary format (header + little-endian doubles), written through
+  /// common::atomic_write_file (SyncPolicy::Full) straight from storage.
   void save(const std::string& path) const;
   static ClimateDataset load(const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "common/framing.hpp"
 
 #include <cstring>
+#include <span>
 #include <sstream>
 
 #include "common/checksum.hpp"
@@ -12,6 +13,11 @@ namespace exaclim::common {
 namespace {
 
 constexpr std::size_t kMagicLen = 8;
+/// File head: magic, then the u64 count of bytes after it.
+constexpr std::size_t kFileHeader = kMagicLen + sizeof(std::uint64_t);
+/// Section head: u32 tag, u64 payload length, u32 CRC32C of the payload.
+constexpr std::size_t kSectionHeader =
+    sizeof(std::uint32_t) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
 
 [[noreturn]] void fail(const std::string& what, std::size_t offset,
                        const std::string& detail) {
@@ -40,7 +46,7 @@ std::vector<RawSection> parse_frame(const unsigned char* file,
                                     const std::string& magic,
                                     const std::string& what) {
   EXACLIM_CHECK(magic.size() == kMagicLen, "artifact magic must be 8 bytes");
-  if (file_size < kMagicLen + sizeof(std::uint64_t)) {
+  if (file_size < kFileHeader) {
     fail(what, file_size, "file too small to hold the artifact header");
   }
   if (std::memcmp(file, magic.data(), kMagicLen) != 0) {
@@ -59,7 +65,7 @@ std::vector<RawSection> parse_frame(const unsigned char* file,
 
   std::uint64_t total = 0;
   std::memcpy(&total, file + kMagicLen, sizeof(total));
-  const std::size_t body_start = kMagicLen + sizeof(std::uint64_t);
+  const std::size_t body_start = kFileHeader;
   if (total != file_size - body_start) {
     fail(what, kMagicLen,
          "framed length " + std::to_string(total) + " does not match the " +
@@ -70,8 +76,6 @@ std::vector<RawSection> parse_frame(const unsigned char* file,
   std::vector<RawSection> sections;
   std::size_t pos = body_start;
   while (pos < file_size) {
-    constexpr std::size_t kSectionHeader =
-        sizeof(std::uint32_t) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
     if (file_size - pos < kSectionHeader) {
       fail(what, pos, "truncated section header");
     }
@@ -139,44 +143,74 @@ FramedWriter::FramedWriter(const std::string& magic) : magic_(magic) {
   EXACLIM_CHECK(magic.size() == kMagicLen, "artifact magic must be 8 bytes");
 }
 
-void FramedWriter::add_section(std::uint32_t tag, const ByteWriter& payload) {
-  sections_.push_back({tag, payload.bytes()});
+void FramedWriter::add_section(std::uint32_t tag, ByteWriter payload) {
+  sections_.push_back({tag, std::move(payload), {}});
+}
+
+void FramedWriter::add_section(std::uint32_t tag,
+                               std::vector<IoPiece> pieces) {
+  sections_.push_back({tag, ByteWriter(), std::move(pieces)});
 }
 
 void FramedWriter::commit(const std::string& path, SyncPolicy sync) const {
-  ByteWriter image;
-  image.raw(magic_.data(), kMagicLen);
+  // Each section's payload as gather pieces: its borrowed list, or one
+  // piece over its owned buffer (`owned` is reserved, so views stay valid).
+  std::vector<IoPiece> owned;
+  owned.reserve(sections_.size());
+  std::vector<std::span<const IoPiece>> payloads;
+  for (const Section& s : sections_) {
+    if (s.borrowed.empty()) {
+      owned.push_back({s.owned.bytes().data(), s.owned.bytes().size()});
+      payloads.emplace_back(&owned.back(), 1);
+    } else {
+      payloads.emplace_back(s.borrowed);
+    }
+  }
+
+  // The file head and every section head go into one small buffer, built
+  // in full before any piece points into it. Each CRC32C chains over the
+  // section's pieces, as if they were one buffer.
   std::uint64_t total = 0;
-  for (const auto& s : sections_) {
-    total += sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-             sizeof(std::uint32_t) + s.payload.size();
+  for (const auto& pieces : payloads) {
+    total += kSectionHeader;
+    for (const IoPiece& p : pieces) total += p.size;
   }
-  image.pod(total);
-  for (const auto& s : sections_) {
-    image.pod(s.tag);
-    image.pod(static_cast<std::uint64_t>(s.payload.size()));
-    image.pod(crc32c(s.payload.data(), s.payload.size()));
-    image.raw(s.payload.data(), s.payload.size());
+  ByteWriter heads;
+  heads.raw(magic_.data(), kMagicLen);
+  heads.pod(total);
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    std::uint64_t size = 0;
+    std::uint32_t crc = 0;
+    for (const IoPiece& p : payloads[i]) {
+      size += p.size;
+      crc = crc32c(p.data, p.size, crc);
+    }
+    heads.pod(sections_[i].tag);
+    heads.pod(size);
+    heads.pod(crc);
   }
-  atomic_write_file(path, image.bytes().data(), image.bytes().size(), sync);
+
+  const unsigned char* head = heads.bytes().data();
+  std::vector<IoPiece> gather{{head, kFileHeader}};
+  head += kFileHeader;
+  for (const auto& pieces : payloads) {
+    gather.push_back({head, kSectionHeader});
+    head += kSectionHeader;
+    gather.insert(gather.end(), pieces.begin(), pieces.end());
+  }
+  atomic_write_file(path, gather, sync);
 }
 
 FramedFile::FramedFile(const std::string& path, const std::string& magic,
                        std::string what)
-    : what_(std::move(what)) {
-  const std::vector<unsigned char> file = read_file_bytes(path);
-  for (const RawSection& raw : parse_frame(file.data(), file.size(), magic,
+    : file_(read_file_bytes(path)), what_(std::move(what)) {
+  for (const RawSection& raw : parse_frame(file_.data(), file_.size(), magic,
                                            what_)) {
-    const std::uint32_t actual = crc32c(file.data() + raw.offset, raw.size);
+    const std::uint32_t actual = crc32c(file_.data() + raw.offset, raw.size);
     if (actual != raw.crc) {
       fail(what_, raw.offset, "section checksum mismatch (payload corrupted)");
     }
-    Section s;
-    s.tag = raw.tag;
-    s.offset = raw.offset;
-    s.payload.assign(file.data() + raw.offset,
-                     file.data() + raw.offset + raw.size);
-    sections_.push_back(std::move(s));
+    sections_.push_back({raw.tag, raw.offset, raw.size});
   }
 }
 
@@ -190,7 +224,7 @@ bool FramedFile::has_section(std::uint32_t tag) const {
 ByteReader FramedFile::section(std::uint32_t tag) const {
   for (const auto& s : sections_) {
     if (s.tag == tag) {
-      return ByteReader(s.payload.data(), s.payload.size(), what_, s.offset);
+      return ByteReader(file_.data() + s.offset, s.size, what_, s.offset);
     }
   }
   missing_section(what_, tag);

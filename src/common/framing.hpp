@@ -12,9 +12,13 @@
 // caught up front), each section's length against the bytes remaining, and
 // each payload's CRC32C. Every failure is an IoError naming the byte offset.
 //
-// Writers buffer everything in memory and hand the finished image to
-// atomic_write_file, so artifacts are crash-consistent as well as
-// self-validating.
+// Writers never assemble the file in memory: commit() checksums each
+// section where its payload lives and hands atomic_write_file one gather
+// list (file head, then each section head and its payload pieces), so
+// artifacts are crash-consistent as well as self-validating. A section
+// payload is either an owned ByteWriter (moved in) or a list of borrowed
+// pieces. Borrowed pieces follow common/io.hpp's lifetime rule: the bytes
+// they point at must stay valid and unchanged until commit() returns.
 #pragma once
 
 #include <atomic>
@@ -101,29 +105,41 @@ class ByteReader {
   std::size_t base_;
 };
 
-/// Builds a framed artifact in memory; commit() writes it atomically.
+/// Collects the sections of a framed artifact; commit() writes it
+/// atomically, straight from the section payloads.
 class FramedWriter {
  public:
   /// `magic` must be exactly 8 characters.
   explicit FramedWriter(const std::string& magic);
 
-  void add_section(std::uint32_t tag, const ByteWriter& payload);
+  /// Adds a section whose payload the writer owns (move the buffer in).
+  void add_section(std::uint32_t tag, ByteWriter payload);
 
-  /// Finalizes the total-length header and atomically writes the artifact
-  /// with the given durability policy (see common/io.hpp).
+  /// Adds a section whose payload is the concatenation of `pieces`. The
+  /// pieces are borrowed, not copied: the memory they point at must stay
+  /// valid and unchanged until commit() returns.
+  void add_section(std::uint32_t tag, std::vector<IoPiece> pieces);
+
+  /// Computes the total length and each section's CRC32C, then atomically
+  /// writes the artifact with the given durability policy (see
+  /// common/io.hpp).
   void commit(const std::string& path, SyncPolicy sync = SyncPolicy::Full) const;
 
  private:
   std::string magic_;
+  /// Exactly one of `owned` and `borrowed` holds the payload; the other
+  /// stays empty.
   struct Section {
     std::uint32_t tag;
-    std::vector<unsigned char> payload;
+    ByteWriter owned;
+    std::vector<IoPiece> borrowed;
   };
   std::vector<Section> sections_;
 };
 
 /// Reads and fully validates a framed artifact; sections are then available
-/// by tag in file order.
+/// by tag in file order. The file's bytes are held once, and each section
+/// is a view into them.
 class FramedFile {
  public:
   /// Loads `path`, expecting `magic` (8 chars). `what` names the artifact
@@ -131,17 +147,18 @@ class FramedFile {
   FramedFile(const std::string& path, const std::string& magic,
              std::string what);
 
-  /// Returns a reader over the payload of the first section with `tag`;
-  /// throws IoError if absent.
+  /// Returns a reader over the payload of the first section with `tag`
+  /// (valid for the life of this object); throws IoError if absent.
   ByteReader section(std::uint32_t tag) const;
   bool has_section(std::uint32_t tag) const;
 
  private:
   struct Section {
     std::uint32_t tag;
-    std::size_t offset;  // payload offset in the file, for error messages
-    std::vector<unsigned char> payload;
+    std::size_t offset;  // payload offset in the file
+    std::size_t size;
   };
+  std::vector<unsigned char> file_;
   std::vector<Section> sections_;
   std::string what_;
 };

@@ -3,11 +3,13 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,16 +25,54 @@ namespace {
 
 constexpr int kMaxWriteAttempts = 4;
 constexpr int kBackoffBaseUs = 100;
+#ifdef IOV_MAX
+constexpr std::size_t kIovMax = IOV_MAX;
+#else
+constexpr std::size_t kIovMax = 1024;  // POSIX minimum is 16; Linux has 1024
+#endif
 
 [[noreturn]] void throw_errno(const char* op, const std::string& path) {
   throw IoError(std::string(op) + " failed for '" + path +
                 "': " + std::strerror(errno));
 }
 
+/// Writes every piece to `fd` in order, IOV_MAX pieces per writev call,
+/// resuming after partial writes and EINTR.
+void write_pieces(int fd, std::span<const IoPiece> pieces,
+                  const std::string& tmp_path) {
+  std::vector<iovec> iov;
+  iov.reserve(pieces.size());
+  for (const IoPiece& piece : pieces) {
+    if (piece.size > 0) {
+      iov.push_back({const_cast<void*>(piece.data), piece.size});
+    }
+  }
+  std::size_t first = 0;
+  while (first < iov.size()) {
+    const auto count =
+        static_cast<int>(std::min(iov.size() - first, kIovMax));
+    const ssize_t n = ::writev(fd, iov.data() + first, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("write", tmp_path);
+    }
+    // Drop the pieces this call finished and trim the one it cut short.
+    auto done = static_cast<std::size_t>(n);
+    while (first < iov.size() && done >= iov[first].iov_len) {
+      done -= iov[first].iov_len;
+      ++first;
+    }
+    if (done > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + done;
+      iov[first].iov_len -= done;
+    }
+  }
+}
+
 /// One full write-temp + sync + rename sequence. Throws TransientError (via
 /// the injector) or IoError; on success `path` holds the new bytes, durable
 /// to the degree the sync policy promises.
-void write_once(const std::string& path, const void* data, std::size_t bytes,
+void write_once(const std::string& path, std::span<const IoPiece> pieces,
                 const std::string& tmp_path, SyncPolicy sync) {
   auto& inject = FaultInjector::instance();
 
@@ -40,19 +80,9 @@ void write_once(const std::string& path, const void* data, std::size_t bytes,
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw_errno("open", tmp_path);
 
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::size_t left = bytes;
   try {
     inject.on_io("write", tmp_path);
-    while (left > 0) {
-      const ssize_t n = ::write(fd, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("write", tmp_path);
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
+    write_pieces(fd, pieces, tmp_path);
     if (sync != SyncPolicy::None) {
       // The injector hook keeps its historical "fsync" ordinal under both
       // syncing policies so existing --faults io=N specs stay stable.
@@ -108,6 +138,12 @@ const char* sync_policy_name(SyncPolicy sync) {
 
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t bytes, SyncPolicy sync) {
+  const IoPiece whole{data, bytes};
+  atomic_write_file(path, std::span<const IoPiece>(&whole, 1), sync);
+}
+
+void atomic_write_file(const std::string& path,
+                       std::span<const IoPiece> pieces, SyncPolicy sync) {
   std::ostringstream tmp;
   tmp << path << ".tmp." << ::getpid();
   const std::string tmp_path = tmp.str();
@@ -115,7 +151,7 @@ void atomic_write_file(const std::string& path, const void* data,
   int backoff_us = kBackoffBaseUs;
   for (int attempt = 1;; ++attempt) {
     try {
-      write_once(path, data, bytes, tmp_path, sync);
+      write_once(path, pieces, tmp_path, sync);
       return;
     } catch (const TransientError& e) {
       std::remove(tmp_path.c_str());

@@ -7,10 +7,17 @@
 // a torn hybrid. Transient I/O failures (as classified by TransientError,
 // e.g. from the fault injector) are retried with bounded exponential backoff
 // before an IoError propagates.
+//
+// The gathered form writes a list of pieces with writev straight from the
+// memory that already holds them, so an artifact is never staged as one
+// contiguous image. The pieces are borrowed: every byte they point at must
+// stay valid and unchanged until atomic_write_file returns (a retry re-reads
+// them from the start).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,12 +39,28 @@ enum class SyncPolicy : std::uint8_t {
 SyncPolicy parse_sync_policy(const std::string& name);
 const char* sync_policy_name(SyncPolicy sync);
 
-/// Atomically replaces `path` with `bytes` bytes at `data`:
+/// One piece of a gathered write: `size` bytes at `data`, borrowed from the
+/// caller (see the header comment for the lifetime rule).
+struct IoPiece {
+  const void* data = nullptr;
+  std::size_t size = 0;
+};
+
+/// Atomically replaces `path` with the concatenation of `pieces`:
 /// write-to-temp + sync-per-policy + rename (with the containing directory
-/// fsync'd under SyncPolicy::Full so the rename itself is durable). Retries
-/// the whole sequence (fresh temp file) up to a small bounded number of
-/// times with exponential backoff when a TransientError is raised; throws
-/// IoError on hard failure or exhaustion.
+/// fsync'd under SyncPolicy::Full so the rename itself is durable). The
+/// pieces go out with writev in batches of at most IOV_MAX, resuming after
+/// partial writes and EINTR; zero-length pieces are allowed. Retries the
+/// whole sequence (fresh temp file) up to a small bounded number of times
+/// with exponential backoff when a TransientError is raised; throws IoError
+/// on hard failure or exhaustion. The fault injector sees one "open",
+/// "write", "fsync" (unless SyncPolicy::None) and "rename" per attempt,
+/// however many pieces there are.
+void atomic_write_file(const std::string& path,
+                       std::span<const IoPiece> pieces,
+                       SyncPolicy sync = SyncPolicy::Full);
+
+/// One-buffer form: atomically replaces `path` with `bytes` bytes at `data`.
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t bytes,
                        SyncPolicy sync = SyncPolicy::Full);

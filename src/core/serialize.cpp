@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/framing.hpp"
@@ -211,7 +212,7 @@ void save_emulator(const ClimateEmulator& emulator, const std::string& path,
                     cfg.steps_per_year, emulator.grid().nlat,
                     emulator.grid().nlon,
                     static_cast<std::uint8_t>(factor_storage)});
-  writer.add_section(kSectionHeader, header);
+  writer.add_section(kSectionHeader, std::move(header));
 
   common::ByteWriter trend;
   for (const auto& tm : emulator.trend_models()) {
@@ -220,22 +221,22 @@ void save_emulator(const ClimateEmulator& emulator, const std::string& path,
     trend.vec64(tm.cos_coeff);
     trend.vec64(tm.sin_coeff);
   }
-  writer.add_section(kSectionTrend, trend);
+  writer.add_section(kSectionTrend, std::move(trend));
 
   common::ByteWriter ar;
   for (const auto& am : emulator.ar_models()) {
     ar.vec64(am.phi);
     ar.pod(am.innovation_variance);
   }
-  writer.add_section(kSectionAr, ar);
+  writer.add_section(kSectionAr, std::move(ar));
 
   common::ByteWriter factor;
   write_factor(factor, emulator.cholesky_factor(), factor_storage);
-  writer.add_section(kSectionFactor, factor);
+  writer.add_section(kSectionFactor, std::move(factor));
 
   common::ByteWriter nugget;
   nugget.vec64(emulator.nugget_variance());
-  writer.add_section(kSectionNugget, nugget);
+  writer.add_section(kSectionNugget, std::move(nugget));
 
   writer.commit(path);
 }

@@ -1,10 +1,11 @@
 #include "runtime/checkpoint.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/framing.hpp"
-#include "common/memory.hpp"
+#include "common/parallel.hpp"
 
 namespace exaclim::runtime {
 
@@ -23,52 +24,124 @@ struct Header {
   std::uint64_t num_kernel_tasks = 0;
 };
 
+/// Per-tile head in the tiles section: u8 precision, f32 scale, u64 payload
+/// bytes, unpadded.
+constexpr std::size_t kTileHead =
+    sizeof(std::uint8_t) + sizeof(float) + sizeof(std::uint64_t);
+
+void put_tile_head(unsigned char* out, const linalg::TileBuffer& t) {
+  const auto prec = static_cast<std::uint8_t>(t.precision());
+  const float scale = t.scale();
+  const auto bytes = static_cast<std::uint64_t>(t.raw_size());
+  std::memcpy(out, &prec, sizeof(prec));
+  std::memcpy(out + sizeof(prec), &scale, sizeof(scale));
+  std::memcpy(out + sizeof(prec) + sizeof(scale), &bytes, sizeof(bytes));
+}
+
+/// The lower-triangle tiles of `a` in file order: tile rows in turn, each
+/// from column 0 to the diagonal.
+std::vector<const linalg::TileBuffer*> tiles_in_file_order(
+    const linalg::TiledSymmetricMatrix& a) {
+  std::vector<const linalg::TileBuffer*> tiles;
+  const index_t nt = a.num_tile_rows();
+  tiles.reserve(static_cast<std::size_t>(nt * (nt + 1) / 2));
+  for (index_t i = 0; i < nt; ++i) {
+    for (index_t j = 0; j <= i; ++j) tiles.push_back(&a.tile(i, j));
+  }
+  return tiles;
+}
+
+/// Writes the header and done-bitmap sections, then `tiles` (borrowed) as
+/// the tiles section.
+void commit(const std::string& path, const Header& header,
+            const std::vector<std::uint8_t>& kernel_done,
+            std::vector<common::IoPiece> tiles, common::SyncPolicy sync) {
+  common::FramedWriter writer(kMagic);
+  common::ByteWriter head;
+  head.pod(header);
+  writer.add_section(kSectionHeader, std::move(head));
+  common::ByteWriter done;
+  done.vec64(kernel_done);
+  writer.add_section(kSectionDone, std::move(done));
+  writer.add_section(kSectionTiles, std::move(tiles));
+  writer.commit(path, sync);
+}
+
 }  // namespace
 
 void write_cholesky_checkpoint(const std::string& path,
                                const linalg::TiledSymmetricMatrix& a,
                                const std::vector<std::uint8_t>& kernel_done,
                                common::SyncPolicy sync) {
-  // Charge the serialized image up front: tile payloads dominate, plus the
-  // done bitmap and per-tile/section framing overhead. The committed image
-  // (section buffers + final assembly) briefly holds ~2x the payload; charge
-  // that so the budget reflects the real high-water mark.
-  std::size_t payload = kernel_done.size() + sizeof(Header) + 4096;
-  const index_t ntr = a.num_tile_rows();
-  for (index_t i = 0; i < ntr; ++i) {
-    for (index_t j = 0; j <= i; ++j) {
-      payload += a.tile(i, j).raw_size() + 16;
-    }
+  // The payloads are written in place; what this write allocates is the
+  // tile list and heads, two gather pieces per tile in each of three lists
+  // (here, FramedWriter::commit and atomic_write_file's iovecs), and the
+  // header and done sections.
+  const auto nt = static_cast<std::size_t>(a.num_tile_rows());
+  const std::size_t num_tiles = nt * (nt + 1) / 2;
+  common::ScopedCharge charge(
+      "checkpoint-image",
+      sizeof(Header) + sizeof(std::uint64_t) + kernel_done.size() +
+          num_tiles * (sizeof(const linalg::TileBuffer*) + kTileHead +
+                       3 * 2 * sizeof(common::IoPiece)));
+
+  const std::vector<const linalg::TileBuffer*> tiles = tiles_in_file_order(a);
+  std::vector<unsigned char> heads(tiles.size() * kTileHead);
+  std::vector<common::IoPiece> pieces;
+  pieces.reserve(2 * tiles.size());
+  for (std::size_t k = 0; k < tiles.size(); ++k) {
+    unsigned char* head = heads.data() + k * kTileHead;
+    put_tile_head(head, *tiles[k]);
+    pieces.push_back({head, kTileHead});
+    pieces.push_back({tiles[k]->raw_bytes(), tiles[k]->raw_size()});
   }
-  common::ScopedCharge image_charge("checkpoint-image", 2 * payload);
+  commit(path,
+         Header{static_cast<std::uint64_t>(a.dim()),
+                static_cast<std::uint64_t>(a.tile_size()),
+                static_cast<std::uint64_t>(a.num_tile_rows()),
+                static_cast<std::uint64_t>(kernel_done.size())},
+         kernel_done, std::move(pieces), sync);
+}
 
-  common::FramedWriter writer(kMagic);
-
-  common::ByteWriter header;
-  header.pod(Header{static_cast<std::uint64_t>(a.dim()),
-                    static_cast<std::uint64_t>(a.tile_size()),
-                    static_cast<std::uint64_t>(a.num_tile_rows()),
-                    static_cast<std::uint64_t>(kernel_done.size())});
-  writer.add_section(kSectionHeader, header);
-
-  common::ByteWriter done;
-  done.vec64(kernel_done);
-  writer.add_section(kSectionDone, done);
-
-  common::ByteWriter tiles;
-  const index_t nt = a.num_tile_rows();
-  for (index_t i = 0; i < nt; ++i) {
-    for (index_t j = 0; j <= i; ++j) {
-      const linalg::TileBuffer& t = a.tile(i, j);
-      tiles.pod(static_cast<std::uint8_t>(t.precision()));
-      tiles.pod(t.scale());
-      tiles.pod(static_cast<std::uint64_t>(t.raw_size()));
-      tiles.raw(t.raw_bytes(), t.raw_size());
-    }
+void CheckpointSnapshot::capture(const linalg::TiledSymmetricMatrix& a,
+                                 unsigned threads) {
+  const std::vector<const linalg::TileBuffer*> tiles = tiles_in_file_order(a);
+  std::vector<std::size_t> offsets(tiles.size() + 1, 0);
+  for (std::size_t k = 0; k < tiles.size(); ++k) {
+    offsets[k + 1] = offsets[k] + kTileHead + tiles[k]->raw_size();
   }
-  writer.add_section(kSectionTiles, tiles);
+  const std::size_t bytes = offsets.back();
+  if (bytes > capacity_) {
+    // Release the old buffer and its charge before taking the larger one.
+    tiles_.reset();
+    capacity_ = 0;
+    charge_.reset();
+    charge_ = common::ScopedCharge("checkpoint-image", bytes);
+    tiles_ = std::make_unique_for_overwrite<unsigned char[]>(bytes);
+    capacity_ = bytes;
+  }
+  size_ = bytes;
+  n_ = static_cast<std::uint64_t>(a.dim());
+  nb_ = static_cast<std::uint64_t>(a.tile_size());
+  nt_ = static_cast<std::uint64_t>(a.num_tile_rows());
+  common::parallel_for(
+      0, static_cast<index_t>(tiles.size()),
+      [&](index_t k) {
+        const auto s = static_cast<std::size_t>(k);
+        unsigned char* out = tiles_.get() + offsets[s];
+        put_tile_head(out, *tiles[s]);
+        std::memcpy(out + kTileHead, tiles[s]->raw_bytes(),
+                    tiles[s]->raw_size());
+      },
+      threads);
+}
 
-  writer.commit(path, sync);
+void CheckpointSnapshot::write(const std::string& path,
+                               const std::vector<std::uint8_t>& kernel_done,
+                               common::SyncPolicy sync) const {
+  commit(path,
+         Header{n_, nb_, nt_, static_cast<std::uint64_t>(kernel_done.size())},
+         kernel_done, {{tiles_.get(), size_}}, sync);
 }
 
 std::vector<std::uint8_t> read_cholesky_checkpoint(

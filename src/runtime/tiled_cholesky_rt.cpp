@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <utility>
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/parallel.hpp"
 #include "linalg/kernels.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/failure.hpp"
@@ -603,12 +605,35 @@ RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
       !ft.checkpoint_path.empty() && ft.checkpoint_every > 0;
   sched.task_budget = periodic ? ft.checkpoint_every : 0;
 
-  auto write_ckpt = [&](const std::vector<std::uint8_t>& done) {
+  auto kernel_bitmap = [&](const std::vector<std::uint8_t>& done) {
     std::vector<std::uint8_t> kd(kernel_ids.size(), 0);
     for (std::size_t s = 0; s < kd.size(); ++s) {
       kd[s] = done[static_cast<std::size_t>(kernel_ids[s])];
     }
-    write_cholesky_checkpoint(ft.checkpoint_path, a, kd, ft.checkpoint_sync);
+    return kd;
+  };
+  auto write_ckpt = [&](const std::vector<std::uint8_t>& done) {
+    write_cholesky_checkpoint(ft.checkpoint_path, a, kernel_bitmap(done),
+                              ft.checkpoint_sync);
+    ++result.checkpoints_written;
+  };
+
+  // Every commit but the last runs on a background writer from `snapshot`,
+  // overlapping the next round; the last is written from the live tiles, so
+  // the run returns with the file durable. At most one commit is in flight:
+  // it is joined, rethrowing its error, before the next snapshot and before
+  // the last write. If execute() throws, `pending`'s destructor (a future
+  // from std::async) still waits for the writer but drops its outcome: the
+  // task failure propagates, and the file holds the newest generation that
+  // was renamed into place.
+  CheckpointSnapshot snapshot;
+  std::future<void> pending;
+  const unsigned copy_threads = options.threads == 0
+                                    ? common::default_thread_count()
+                                    : options.threads;
+  auto join_pending = [&] {
+    if (!pending.valid()) return;
+    pending.get();
     ++result.checkpoints_written;
   };
 
@@ -618,7 +643,19 @@ RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
     sched.already_done = have_already ? &already : nullptr;
     RunStats round = execute(builder.graph(), sched, trace);
     merge_run_stats(result.run, round);
-    if (periodic) write_ckpt(round.done);
+    if (periodic) {
+      join_pending();
+      if (round.finished_all) {
+        write_ckpt(round.done);
+      } else {
+        snapshot.capture(a, copy_threads);
+        pending = std::async(
+            std::launch::async,
+            [&snapshot, &ft, kd = kernel_bitmap(round.done)] {
+              snapshot.write(ft.checkpoint_path, kd, ft.checkpoint_sync);
+            });
+      }
+    }
     if (round.finished_all) break;
     already = std::move(round.done);
     have_already = true;

@@ -54,9 +54,11 @@ struct FaultToleranceOptions {
   double jitter_base = 1e-10;  ///< first rung, relative to the diagonal scale
   /// Checkpoint/restart: when `checkpoint_path` is set the run snapshots the
   /// completed-task frontier plus tile payloads every `checkpoint_every`
-  /// newly-executed tasks (0 = once, at completion). `resume_path` restores
-  /// tiles from a prior checkpoint and prunes its completed tasks from the
-  /// rebuilt graph before executing the remainder.
+  /// newly-executed tasks (0 = once, at completion). Every commit but the
+  /// last is written by a background thread from a copy of the tiles while
+  /// the next round runs; the last is written before the call returns.
+  /// `resume_path` restores tiles from a prior checkpoint and prunes its
+  /// completed tasks from the rebuilt graph before executing the remainder.
   std::string checkpoint_path;
   index_t checkpoint_every = 0;
   std::string resume_path;

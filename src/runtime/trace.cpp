@@ -1,8 +1,8 @@
 #include "runtime/trace.hpp"
 
-#include <fstream>
+#include <sstream>
 
-#include "common/error.hpp"
+#include "common/io.hpp"
 #include "linalg/kernels.hpp"
 
 namespace exaclim::runtime {
@@ -23,8 +23,7 @@ void Trace::set_counters(const TraceCounters& counters) {
 }
 
 void Trace::write_chrome_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open trace file: " + path);
+  std::ostringstream out;
   out << "{\"traceEvents\":[";
   bool first = true;
   auto emit = [&](const TraceEvent& e, const char* name) {
@@ -58,7 +57,10 @@ void Trace::write_chrome_json(const std::string& path) const {
       << ",\"l2_bytes\":" << tuning.l2_bytes
       << ",\"l3_bytes\":" << tuning.l3_bytes << "}}";
   out << "]}\n";
-  if (!out) throw IoError("trace write failed: " + path);
+  // Diagnostic output: atomic against a crash, but not worth an fsync.
+  const std::string text = out.str();
+  common::atomic_write_file(path, text.data(), text.size(),
+                            common::SyncPolicy::None);
 }
 
 }  // namespace exaclim::runtime

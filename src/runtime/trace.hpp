@@ -53,7 +53,8 @@ class Trace {
   }
 
   /// Writes Chrome-trace JSON ("traceEvents" array, microsecond timestamps):
-  /// task and park slices plus a scheduler_counters metadata event.
+  /// task and park slices plus a scheduler_counters metadata event, through
+  /// common::atomic_write_file with SyncPolicy::None.
   void write_chrome_json(const std::string& path) const;
 
  private:

@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/io.hpp"
 #include "linalg/tile_matrix.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/failure.hpp"
@@ -189,6 +190,99 @@ TEST(CheckpointResume, ResumeComposesWithFaultToleranceAndIntegrity) {
   cholesky_tiled_parallel(clean, {});
   expect_bitwise_equal(resumed, clean.to_dense(true));
   std::filesystem::remove(ck);
+}
+
+/// True if the test temp directory holds a temp file left by an atomic
+/// write of `file`.
+bool has_tmp_debris(const std::string& file) {
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    if (entry.path().filename().string().rfind(file + ".tmp", 0) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(CheckpointResume, IoFaultInCommitFailsCleanly) {
+  // Periodic commits run on a background writer; an I/O fault there must
+  // surface from cholesky_tiled_parallel exactly as a synchronous one would.
+  // With SyncPolicy::Full each commit makes four I/O calls (open, write,
+  // fsync, rename), so call 6 is the second commit's write.
+  const linalg::Matrix a = decaying_spd();
+  constexpr index_t kEvery = 12;
+
+  auto clean = make_tiled(a, linalg::PrecisionVariant::DP);
+  cholesky_tiled_parallel(clean, {});
+  const linalg::Matrix l_ref = clean.to_dense(true);
+
+  // Hard fault: IoError, no temp debris, and the file keeps the first
+  // generation. A DP graph has no CONVERT tasks, so that generation holds
+  // exactly the first round's kEvery kernel tasks.
+  const std::string name = "exaclim_resume_io_hard.ckpt";
+  const std::string ck = ::testing::TempDir() + "/" + name;
+  {
+    InjectorGuard guard;
+    FaultInjector::instance().arm(FaultPlan::parse("io=6;io-mode=hard"));
+    auto doomed = make_tiled(a, linalg::PrecisionVariant::DP);
+    RtCholeskyOptions opt;
+    opt.ft.checkpoint_path = ck;
+    opt.ft.checkpoint_every = kEvery;
+    EXPECT_THROW(cholesky_tiled_parallel(doomed, opt), IoError);
+    // The error surfaces at the next join, so no later commit is attempted:
+    // under io-mode=hard each one would add a fault.
+    EXPECT_EQ(FaultInjector::instance().counts().io, 1);
+  }
+  EXPECT_FALSE(has_tmp_debris(name));
+  ASSERT_TRUE(std::filesystem::exists(ck));
+  {
+    auto probe = make_tiled(a, linalg::PrecisionVariant::DP);
+    const auto done = read_cholesky_checkpoint(ck, probe);
+    index_t finished = 0;
+    for (const auto d : done) finished += d != 0 ? 1 : 0;
+    EXPECT_EQ(finished, kEvery);
+  }
+  auto resumed = make_tiled(a, linalg::PrecisionVariant::DP);
+  RtCholeskyOptions resume;
+  resume.ft.resume_path = ck;
+  EXPECT_TRUE(cholesky_tiled_parallel(resumed, resume).resumed);
+  expect_bitwise_equal(resumed, l_ref);
+  std::filesystem::remove(ck);
+
+  // Transient fault: the writer's retry absorbs it, and the factor and the
+  // final checkpoint match a fault-free run's byte for byte (mixed
+  // precision, so tile scales are compared too).
+  const std::string ck_clean =
+      ::testing::TempDir() + "/exaclim_resume_io_clean.ckpt";
+  const std::string ck_retry =
+      ::testing::TempDir() + "/exaclim_resume_io_retry.ckpt";
+  auto run = [&](const std::string& path) {
+    auto tiled = make_tiled(a, linalg::PrecisionVariant::DP_HP);
+    RtCholeskyOptions opt;
+    opt.ft.checkpoint_path = path;
+    opt.ft.checkpoint_every = kEvery;
+    const auto result = cholesky_tiled_parallel(tiled, opt);
+    EXPECT_GT(result.checkpoints_written, 2);
+    return tiled.to_dense(true);
+  };
+  const linalg::Matrix l_clean = run(ck_clean);
+  linalg::Matrix l_retry;
+  {
+    InjectorGuard guard;
+    FaultInjector::instance().arm(FaultPlan::parse("io=6;io-mode=transient"));
+    l_retry = run(ck_retry);
+    EXPECT_EQ(FaultInjector::instance().counts().io, 1);
+  }
+  for (index_t i = 0; i < kN; ++i) {
+    for (index_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(l_retry(i, j), l_clean(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(common::read_file_bytes(ck_retry),
+            common::read_file_bytes(ck_clean));
+  EXPECT_FALSE(has_tmp_debris("exaclim_resume_io_retry.ckpt"));
+  std::filesystem::remove(ck_clean);
+  std::filesystem::remove(ck_retry);
 }
 
 TEST(CheckpointResume, ResumeAgainstWrongProblemFailsLoudly) {

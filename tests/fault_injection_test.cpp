@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <string>
 
+#include "climate/dataset.hpp"
 #include "climate/synthetic_esm.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -266,12 +267,27 @@ TEST(FaultMatrix, TransientIoFaultIsAbsorbedByRetry) {
   std::filesystem::remove(path);
 }
 
+/// A small dataset whose every value depends on `salt`.
+climate::ClimateDataset salted_dataset(double salt) {
+  climate::ClimateDataset ds(sht::GridShape{3, 4}, 5, 2, 5);
+  for (std::size_t i = 0; i < ds.raw().size(); ++i) {
+    ds.raw()[i] = salt + 0.25 * static_cast<double>(i);
+  }
+  return ds;
+}
+
 TEST(FaultMatrix, PersistentIoFaultFailsCleanAndAtomically) {
   // A hard I/O fault exhausts the retry budget: IoError propagates and the
   // destination keeps its previous contents (no torn write, no temp litter).
+  // Datasets are saved through the same atomic writer, so the same holds
+  // for `exaclim_cli generate` and `emulate` outputs.
   const std::string path = ::testing::TempDir() + "/exaclim_io_hard.bin";
+  const std::string data_path =
+      ::testing::TempDir() + "/exaclim_io_hard_data.bin";
   const std::string original = "previous generation";
   common::atomic_write_file(path, original.data(), original.size());
+  salted_dataset(1.0).save(data_path);
+  const auto data_original = common::read_file_bytes(data_path);
   for (const auto seed : kSeeds) {
     InjectorGuard guard;
     FaultInjector::instance().arm(FaultPlan::parse(
@@ -281,18 +297,26 @@ TEST(FaultMatrix, PersistentIoFaultFailsCleanAndAtomically) {
         common::atomic_write_file(path, doomed.data(), doomed.size()),
         IoError)
         << seed;
+    EXPECT_THROW(salted_dataset(2.0).save(data_path), IoError) << seed;
     FaultInjector::instance().disarm();
     const auto back = common::read_file_bytes(path);
     EXPECT_EQ(std::string(back.begin(), back.end()), original) << seed;
+    EXPECT_EQ(common::read_file_bytes(data_path), data_original) << seed;
+    EXPECT_EQ(climate::ClimateDataset::load(data_path).raw(),
+              salted_dataset(1.0).raw())
+        << seed;
   }
   // No .tmp.* debris may survive a failed atomic write.
   for (const auto& entry :
        std::filesystem::directory_iterator(::testing::TempDir())) {
-    EXPECT_EQ(entry.path().filename().string().find("exaclim_io_hard.bin.tmp"),
-              std::string::npos)
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.find("exaclim_io_hard.bin.tmp"), std::string::npos)
+        << entry.path();
+    EXPECT_EQ(name.find("exaclim_io_hard_data.bin.tmp"), std::string::npos)
         << entry.path();
   }
   std::filesystem::remove(path);
+  std::filesystem::remove(data_path);
 }
 
 // ---------- spec parsing ----------------------------------------------------

@@ -2,7 +2,8 @@
 // single-bit flip and every truncation of an EXACMDL4 model file or an
 // EXACKPT1 checkpoint must surface as a clean IoError — never a crash, a
 // silent success, or an unbounded allocation. Also pins the version-bump
-// contract: EXACMDL3-era files are rejected with an actionable message.
+// contract (EXACMDL3-era files are rejected with an actionable message) and
+// the framed byte layout a gathered commit writes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,9 +11,11 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "climate/synthetic_esm.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/framing.hpp"
 #include "common/io.hpp"
@@ -207,6 +210,67 @@ TEST_F(SerializeFuzz, SectionDecodersRejectTrailingBytesAndCountMismatch) {
   EXPECT_THROW((void)load_emulator(short_nugget), IoError);
   std::filesystem::remove(trailing);
   std::filesystem::remove(short_nugget);
+}
+
+// ---------- framed layout ---------------------------------------------------
+
+TEST(Framing, GatheredCommitMatchesHandAssembledImage) {
+  // The writer gathers each section from where its payload lives. One owned
+  // section and one borrowed section of 2500 pieces (more than IOV_MAX, some
+  // empty) must produce exactly the documented layout, assembled here by
+  // hand: magic, u64 total, then per section tag, length, CRC32C, payload.
+  common::ByteWriter owned;
+  for (std::uint32_t v = 0; v < 300; ++v) owned.pod(v * 2654435761u);
+  const std::vector<unsigned char> owned_bytes = owned.bytes();
+
+  std::vector<std::vector<unsigned char>> chunks(2500);
+  std::vector<common::IoPiece> pieces;
+  std::vector<unsigned char> borrowed_bytes;
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    chunks[k].resize(k % 7 == 0 ? 0 : 1 + (k * 37) % 29);
+    for (std::size_t b = 0; b < chunks[k].size(); ++b) {
+      chunks[k][b] = static_cast<unsigned char>(k * 131 + b);
+    }
+    pieces.push_back({chunks[k].data(), chunks[k].size()});
+    borrowed_bytes.insert(borrowed_bytes.end(), chunks[k].begin(),
+                          chunks[k].end());
+  }
+
+  const std::string path = ::testing::TempDir() + "/exaclim_framing_gather.bin";
+  common::FramedWriter writer("EXATEST1");
+  writer.add_section(7, std::move(owned));
+  writer.add_section(9, std::move(pieces));
+  writer.commit(path);
+
+  const std::pair<std::uint32_t, const std::vector<unsigned char>*>
+      sections[] = {{7, &owned_bytes}, {9, &borrowed_bytes}};
+  std::vector<unsigned char> expected;
+  auto put = [&](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    expected.insert(expected.end(), b, b + n);
+  };
+  put("EXATEST1", 8);
+  std::uint64_t total = 0;
+  for (const auto& [tag, payload] : sections) total += 16 + payload->size();
+  put(&total, sizeof(total));
+  for (const auto& [tag, payload] : sections) {
+    const std::uint64_t len = payload->size();
+    const std::uint32_t crc = common::crc32c(payload->data(), payload->size());
+    put(&tag, sizeof(tag));
+    put(&len, sizeof(len));
+    put(&crc, sizeof(crc));
+    put(payload->data(), payload->size());
+  }
+  EXPECT_EQ(common::read_file_bytes(path), expected);
+
+  const common::FramedFile file(path, "EXATEST1", "test artifact");
+  for (const auto& [tag, payload] : sections) {
+    common::ByteReader in = file.section(tag);
+    std::vector<unsigned char> back(in.remaining());
+    in.raw(back.data(), back.size());
+    EXPECT_EQ(back, *payload) << "section " << tag;
+  }
+  std::filesystem::remove(path);
 }
 
 // ---------- checkpoint artifact ---------------------------------------------
