@@ -1,5 +1,5 @@
 // Measured kernel rates backing the performance model: per-precision tile
-// GEMM/SYRK/TRSM/POTRF, precision conversions, and full tile Cholesky
+// GEMM/SYRK/TRSM/POTRF, the scaled-f16 conversions, and full tile Cholesky
 // variants (on the runtime at one thread and across thread counts).
 //
 // Default invocation runs the blocked-vs-reference quick bench and writes
@@ -371,6 +371,57 @@ void bench_f16(exaclim::bench::JsonBench& out) {
   }
 }
 
+/// The four scaled-f16 conversions an HP tile task pays, at pipebench's tile
+/// 128, with the scalar oracle's time where the vector form has one.
+void bench_convert(exaclim::bench::JsonBench& out) {
+  using exaclim::bench::time_op;
+  constexpr index_t nb = 128;
+  constexpr index_t count = nb * nb;
+  const auto d = random_tile<double>(nb, 7);
+  const auto f = random_tile<float>(nb, 8);
+  std::vector<common::half> h(static_cast<std::size_t>(count));
+  std::vector<double> dw(h.size());
+  std::vector<float> fw(h.size());
+  const float scale = convert_f64_to_f16_scaled(d.data(), h.data(), count);
+  auto add = [&](const char* kernel, double s, double ref_s) {
+    char buf[256];
+    if (ref_s > 0.0) {
+      std::snprintf(buf, sizeof(buf),
+                    "{\"kernel\": \"%s\", \"n\": %lld, \"us\": %.3f, "
+                    "\"ref_us\": %.3f, \"speedup\": %.3f}",
+                    kernel, static_cast<long long>(nb), s * 1e6, ref_s * 1e6,
+                    ref_s / s);
+    } else {
+      std::snprintf(buf, sizeof(buf),
+                    "{\"kernel\": \"%s\", \"n\": %lld, \"us\": %.3f}",
+                    kernel, static_cast<long long>(nb), s * 1e6);
+    }
+    out.add(buf);
+  };
+  add("convert_f64_to_f16_scaled",
+      time_op([&] { convert_f64_to_f16_scaled(d.data(), h.data(), count); }),
+      time_op([&] {
+        convert_f64_to_f16_scaled_ref(d.data(), h.data(), count);
+      }));
+  add("convert_f32_to_f16_scaled",
+      time_op([&] { convert_f32_to_f16_scaled(f.data(), h.data(), count); }),
+      time_op([&] {
+        convert_f32_to_f16_scaled_ref(f.data(), h.data(), count);
+      }));
+  add("convert_f16_scaled_to_f64",
+      time_op([&] {
+        convert_f16_scaled_to_f64(h.data(), scale, dw.data(), count);
+      }),
+      time_op([&] {
+        convert_f16_scaled_to_f64_ref(h.data(), scale, dw.data(), count);
+      }));
+  add("convert_f16_scaled_to_f32",
+      time_op([&] {
+        convert_f16_scaled_to_f32(h.data(), scale, fw.data(), count);
+      }),
+      0.0);
+}
+
 /// Runtime-parallel tiled Cholesky on the unified team, with the scheduler's
 /// steal/affinity/park counters recorded so scheduler changes stay
 /// measurable in the committed trajectory. 16x16 tiles is the acceptance
@@ -457,6 +508,7 @@ void write_kernels_json() {
   bench_type<double>("f64", out);
   bench_type<float>("f32", out);
   bench_f16(out);
+  bench_convert(out);
   bench_scheduler(out);
   bench_checkpoint(out);
   // The ISA fields catch a stale build dir configured without -march=native,

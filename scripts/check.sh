@@ -2,7 +2,7 @@
 # Full robustness gate: the tier-1 build + test sweep, a lint stage, then the
 # concurrency and fault/determinism suites under the sanitizer presets.
 #
-#   scripts/check.sh            # tier-1 + lint + kernels + asan + tsan sweeps
+#   scripts/check.sh            # tier-1 + lint + kernels + portable + asan + tsan
 #   scripts/check.sh --tier1    # tier-1 only (what CI must always pass)
 #   scripts/check.sh --lint     # lint stage only (tidy + grep invariants)
 #
@@ -13,12 +13,14 @@
 # suites plus the DAG-verifier suite under the relassert preset (-O2 with
 # assertions and -Wshadow -Wconversion on runtime/ and analysis/), a
 # different optimization level than tier 1 — explicit-vector kernels are the
-# code most likely to diverge when the compiler changes its mind. The asan
-# preset races the fault/recovery and verifier paths for lifetime bugs; the
-# tsan preset hunts data races in the work-stealing runtime and additionally
-# runs its sweep with EXACLIM_VERIFY=dynamic, so the shadow checker's own
-# atomics are raced under instrumentation while it cross-checks the executed
-# schedules. The sanitizers also run the determinism suite so
+# code most likely to diverge when the compiler changes its mind. The
+# portable stage builds without -march=native, so the loop micro-kernel and
+# the scalar conversion paths the native build never runs are tested too.
+# The asan preset races the fault/recovery and verifier paths for lifetime
+# bugs; the tsan preset hunts data races in the work-stealing runtime and
+# additionally runs its sweep with EXACLIM_VERIFY=dynamic, so the shadow
+# checker's own atomics are raced under instrumentation while it
+# cross-checks the executed schedules. The sanitizers also run the determinism suite so
 # bit-reproducibility is checked under instrumented schedules, where thread
 # interleavings differ most from release builds.
 set -euo pipefail
@@ -54,7 +56,14 @@ run() { echo "+ $*" >&2; "$@"; }
 #     emulators;
 #   * the training kernels' scalar oracles (fit_trend_ref,
 #     empirical_covariance_ref) appear in src/ only in their own stats/
-#     files — tests compare against them, the pipeline never runs them.
+#     files — tests compare against them, the pipeline never runs them;
+#   * the tile kernels' loop micro-kernel oracles (*_loop_f16/f32/f64) and
+#     the scalar conversion oracles (convert_*_ref) appear in src/ only in
+#     linalg/kernels.* — the pipeline runs the explicit AVX-512 forms;
+#   * std::atomic_thread_fence in src/ only in the files listed below, each
+#     with the reason its fences order no published data — TSan models
+#     atomic operations but not standalone fences, so a fence that publishes
+#     data hides a happens-before edge from the tsan sweep.
 lint() {
   local fail=0
 
@@ -170,6 +179,28 @@ lint() {
     fail=1
   fi
 
+  hits="$(grep -rnE '\b((potrf_lower|trsm_rlt|syrk_ln_minus|gemm_nt_minus)_loop_f[0-9]+|convert_[a-z0-9_]+_ref)\(' src \
+          | grep -vE '^src/linalg/kernels\.(hpp|cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: tile-kernel loop or conversion oracle used outside linalg/kernels.*:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  local fence_ok=(
+    # Chase-Lev pop/steal: the seq_cst fences order the owner's bottom_
+    # store against a thief's top_ load in the race for the last element;
+    # tasks are published by push's release store of bottom_.
+    src/common/work_steal_deque.hpp
+  )
+  hits="$(grep -rl 'atomic_thread_fence' src \
+          | grep -vxF -e "$(printf '%s\n' "${fence_ok[@]}")" || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: atomic_thread_fence outside the audited allowlist (publish with release/acquire operations):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
   if [[ "$fail" -ne 0 ]]; then
     echo "lint stage failed" >&2
     exit 1
@@ -199,6 +230,14 @@ lint
 run cmake --preset relassert
 run cmake --build --preset relassert -j
 run ctest --test-dir build-relassert --output-on-failure -L 'kernels|analysis'
+
+# --- portable build: the loop micro-kernel and the scalar tails --------------
+# Without -march=native there is no AVX-512 or F16C: the blocked engine runs
+# its loop micro-kernel and every conversion its scalar path, the fallbacks
+# the native sweeps never build.
+run cmake --preset portable
+run cmake --build --preset portable -j
+run ctest --test-dir build-portable --output-on-failure -L kernels
 
 # --- sanitizer sweeps over the guarded subsystems ----------------------------
 for preset in asan tsan; do

@@ -10,7 +10,7 @@
 // so Linux first-touch policy places it on that worker's node.
 //
 // Ownership rule: an arena is thread-local to one worker (see
-// `Blocked<T>::scratch()` in kernels.cpp); nothing hands arena pointers to
+// `KernelScratch<T>::get()` in kernels.cpp); nothing hands arena pointers to
 // another thread. Buffers grow monotonically to the high-water mark of the
 // tile sizes a worker has seen and then stop allocating entirely.
 #pragma once

@@ -3,10 +3,13 @@
 // One owner thread pushes and pops at the bottom without contending with
 // anyone on the fast path; any number of thief threads steal from the top
 // with a single CAS. The implementation follows Lê, Pop, Cohen & Nardelli,
-// "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP'13) —
-// the fence placement below is exactly their proven C11 version, which is
-// what keeps it clean under ThreadSanitizer (ctest -L runtime with the
-// `tsan` preset stress-tests concurrent push/pop/steal).
+// "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP'13):
+// their proven C11 version, with push's release fence folded into a release
+// store of bottom_. TSan does not model standalone fences, and the
+// seq_cst fences left in pop and steal only order the take/steal race on
+// the last element (published data always travels through that release
+// store), so the deque stays clean under ThreadSanitizer (ctest -L runtime
+// with the `tsan` preset stress-tests concurrent push/pop/steal).
 //
 // The ring buffer grows on owner pushes; retired rings are kept alive until
 // the deque is destroyed, so a thief that loaded a stale ring pointer still
@@ -46,8 +49,10 @@ class WorkStealDeque {
       ring = grow(ring, t, b);
     }
     ring->put(b, value);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // The release store publishes the cell to a thief whose acquire load of
+    // bottom_ reads b + 1. It is Lê et al.'s release fence + relaxed store
+    // in the one form ThreadSanitizer models (same x86 code).
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only. LIFO: returns the most recently pushed element.

@@ -11,7 +11,12 @@
 #include <vector>
 
 #if defined(__F16C__) || defined(__AVX512F__)
+// GCC 12 reports the intrinsics' own _mm512_undefined_* placeholders as
+// maybe-uninitialized once they are inlined (GCC bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 #include "common/arena.hpp"
@@ -72,6 +77,18 @@ std::string tile_context_suffix() {
 }
 
 namespace {
+
+/// Calls f(i) for i = 0..N-1 with i a compile-time constant. A register
+/// block's accumulators are indexed only this way: GCC keeps an array in
+/// registers only when every index is a constant. That needs the lambdas
+/// inlined; where GCC leaves them out of line, mark the kernel
+/// [[gnu::flatten]].
+template <int N, typename F>
+inline void unrolled(F&& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
 
 /// Widens `count` contiguous halves to floats. F16C gives an 8-wide hardware
 /// conversion; the scalar tail (and the no-F16C fallback) use the bit-exact
@@ -230,12 +247,78 @@ std::mutex g_tuning_mu;
 KernelTuning g_tuning;  // block sizes mirrored from g_block
 bool g_tuning_init = false;
 
+/// Per-worker scratch of the blocked engine for element type T: pack
+/// buffers and SYRK diagonal scratch live in a grow-only thread-local arena
+/// (common/arena.hpp). The owning worker allocates and first-touches every
+/// page, so on NUMA machines the packed panels are node-local to the worker
+/// streaming them; buffers grow to the high-water tile size and then the hot
+/// path never allocates again. The arena also guarantees older allocations
+/// stay valid while new ones are carved (a mid-pack `row` growth cannot
+/// invalidate a live pack pointer).
 template <typename T>
+struct KernelScratch {
+  common::ScratchArena arena;
+  common::ArenaBuffer<T> pack_a;
+  common::ArenaBuffer<T> pack_b;
+  common::ArenaBuffer<T> diag;  // dense scratch for SYRK diagonal blocks
+  common::ArenaBuffer<T> row;   // widened source row for packed-half operands
+
+  static KernelScratch& get() {
+    thread_local KernelScratch s;
+    return s;
+  }
+};
+
+#if defined(__AVX512F__)
+/// One zmm register of T lanes, with the operations the explicit kernels
+/// below use. Masked loads and stores touch only the lanes set in the mask.
+template <typename T>
+struct Zmm;
+
+template <>
+struct Zmm<double> {
+  using V = __m512d;
+  using Mask = __mmask8;
+  static constexpr index_t kLanes = 8;
+  static V zero() { return _mm512_setzero_pd(); }
+  static V broadcast(double x) { return _mm512_set1_pd(x); }
+  static V load(const double* p) { return _mm512_loadu_pd(p); }
+  static V load(const double* p, Mask m) { return _mm512_maskz_loadu_pd(m, p); }
+  static void store(double* p, Mask m, V v) { _mm512_mask_storeu_pd(p, m, v); }
+  static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+  static V fnmadd(V a, V b, V c) { return _mm512_fnmadd_pd(a, b, c); }
+  static V abs(V v) { return _mm512_abs_pd(v); }
+  static V max(V a, V b) { return _mm512_max_pd(a, b); }
+  static double reduce_max(V v) { return _mm512_reduce_max_pd(v); }
+};
+
+template <>
+struct Zmm<float> {
+  using V = __m512;
+  using Mask = __mmask16;
+  static constexpr index_t kLanes = 16;
+  static V zero() { return _mm512_setzero_ps(); }
+  static V broadcast(float x) { return _mm512_set1_ps(x); }
+  static V load(const float* p) { return _mm512_loadu_ps(p); }
+  static V load(const float* p, Mask m) { return _mm512_maskz_loadu_ps(m, p); }
+  static void store(float* p, Mask m, V v) { _mm512_mask_storeu_ps(p, m, v); }
+  static V fmadd(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  static V fnmadd(V a, V b, V c) { return _mm512_fnmadd_ps(a, b, c); }
+  static V abs(V v) { return _mm512_abs_ps(v); }
+  static V max(V a, V b) { return _mm512_max_ps(a, b); }
+  static float reduce_max(V v) { return _mm512_reduce_max_ps(v); }
+};
+#endif
+
+/// The blocked engine. kLoop = true runs the portable loop micro-kernel in
+/// place of the AVX-512 one: the byte oracle of the `*_loop_*` entry points.
+/// Without AVX-512 both are the loop.
+template <typename T, bool kLoop = false>
 struct Blocked {
-  // Register micro-tile: MR rows of A by NR rows of B. Shapes are chosen
-  // empirically per ISA (see docs/PERF.md): with AVX-512 the 1 KiB
-  // accumulator spans 16 of the 32 zmm registers and GCC keeps it fully
-  // register-resident; narrower tiles fall off the vectorizer's fast path.
+  // Register micro-tile: MR rows of A by NR rows of B. With AVX-512 the
+  // accumulator is 16 zmm registers (4 x 4 of f64, 8 x 2 of f32) held by
+  // the explicit micro_kernel_zmm; the loop form keeps the same shape so
+  // both compute identical bytes. See docs/PERF.md.
 #ifdef __AVX512F__
   static constexpr index_t MR = sizeof(T) == 4 ? 8 : 4;
   static constexpr index_t NR = 32;
@@ -260,24 +343,7 @@ struct Blocked {
   static constexpr index_t PW = sizeof(T) == 4 ? 8 : 4;
 #endif
 
-  // Per-worker scratch: pack buffers and SYRK diagonal scratch live in a
-  // grow-only thread-local arena (common/arena.hpp). The owning worker
-  // allocates and first-touches every page, so on NUMA machines the packed
-  // panels are node-local to the worker streaming them; buffers grow to the
-  // high-water tile size and then the hot path never allocates again. The
-  // arena also guarantees older allocations stay valid while new ones are
-  // carved (a mid-pack `row` growth cannot invalidate a live pack pointer).
-  struct Scratch {
-    common::ScratchArena arena;
-    common::ArenaBuffer<T> pack_a;
-    common::ArenaBuffer<T> pack_b;
-    common::ArenaBuffer<T> diag;  // dense scratch for SYRK diagonal blocks
-    common::ArenaBuffer<T> row;   // widened source row for packed-half operands
-  };
-  static Scratch& scratch() {
-    thread_local Scratch s;
-    return s;
-  }
+  using Scratch = KernelScratch<T>;
 
   /// Packs an mc x kc block of (a, lda) into MR-wide, zero-padded slivers:
   /// dst[(i0/MR) * kc * MR + p * MR + i] = a[(i0 + i) * lda + p]. A
@@ -287,7 +353,7 @@ struct Blocked {
   template <index_t W, typename S>
   static void pack(const S* a, index_t lda, index_t mc, index_t kc, T* dst) {
     if constexpr (std::is_same_v<S, common::half>) {
-      Scratch& s = scratch();
+      Scratch& s = Scratch::get();
       T* row = s.row.ensure(s.arena, static_cast<std::size_t>(kc));
       for (index_t i0 = 0; i0 < mc; i0 += W) {
         const index_t w = std::min(W, mc - i0);
@@ -320,6 +386,22 @@ struct Blocked {
   /// half kernels fold the per-tile scales.
   static void micro_kernel(const T* ap, const T* bp, index_t kc, T alpha, T* c,
                            index_t ldc, index_t mr, index_t nr) {
+#if defined(__AVX512F__)
+    if constexpr (!kLoop) {
+      micro_kernel_zmm(ap, bp, kc, alpha, c, ldc, mr, nr);
+      return;
+    }
+#endif
+    micro_kernel_loop(ap, bp, kc, alpha, c, ldc, mr, nr);
+  }
+
+  /// The portable micro-kernel and the byte oracle of micro_kernel_zmm.
+  /// With FMA hardware GCC contracts `acc += a * b` to one fused multiply-
+  /// add and `c -= alpha * acc` to one fused c - alpha * acc, but on
+  /// AVX-512 it still builds this loop from 256-bit FMAs with spilled
+  /// accumulators.
+  static void micro_kernel_loop(const T* ap, const T* bp, index_t kc, T alpha,
+                                T* c, index_t ldc, index_t mr, index_t nr) {
     T acc[MR][NR] = {};
     for (index_t p = 0; p < kc; ++p) {
       const T* av = ap + p * MR;
@@ -342,6 +424,48 @@ struct Blocked {
     }
   }
 
+#if defined(__AVX512F__)
+  /// micro_kernel_loop in explicit AVX-512, with the same bytes: every
+  /// accumulator lane starts at zero and takes one fused multiply-add per k
+  /// in ascending order, then C takes one fused c - alpha * acc, masked to
+  /// the valid nr columns. Per k, NV vectors of the B sliver are loaded once
+  /// and each of the MR A entries is broadcast once. flatten is load-
+  /// bearing: without it GCC 12 keeps some of the unrolled lambdas out of
+  /// line, and the f32 kernel runs no faster than the loop.
+  [[gnu::flatten]] static void micro_kernel_zmm(const T* ap, const T* bp,
+                                                index_t kc, T alpha, T* c,
+                                                index_t ldc, index_t mr,
+                                                index_t nr) {
+    using Z = Zmm<T>;
+    using V = typename Z::V;
+    constexpr int NV = static_cast<int>(NR / Z::kLanes);
+    V acc[MR][NV];
+    unrolled<MR>([&](auto i) {
+      unrolled<NV>([&](auto v) { acc[i][v] = Z::zero(); });
+    });
+    for (index_t p = 0; p < kc; ++p, ap += MR, bp += NR) {
+      V b[NV];
+      unrolled<NV>([&](auto v) { b[v] = Z::load(bp + v * Z::kLanes); });
+      unrolled<MR>([&](auto i) {
+        const V a = Z::broadcast(ap[i]);
+        unrolled<NV>(
+            [&](auto v) { acc[i][v] = Z::fmadd(a, b[v], acc[i][v]); });
+      });
+    }
+    const V va = Z::broadcast(alpha);
+    unrolled<NV>([&](auto v) {
+      const index_t lanes =
+          std::clamp<index_t>(nr - v * Z::kLanes, 0, Z::kLanes);
+      const auto mask = static_cast<typename Z::Mask>((1u << lanes) - 1u);
+      unrolled<MR>([&](auto i) {
+        if (i >= mr) return;
+        T* ci = c + i * ldc + v * Z::kLanes;
+        Z::store(ci, mask, Z::fnmadd(va, acc[i][v], Z::load(ci, mask)));
+      });
+    });
+  }
+#endif
+
   /// C (m x n, ldc) -= alpha * A (m x k, lda) * B (n x k, ldb)^T. Operand
   /// types SA/SB are T or common::half (widened while packing).
   template <typename SA, typename SB>
@@ -352,7 +476,7 @@ struct Blocked {
     const index_t KC = bs.kc.load(std::memory_order_relaxed);
     const index_t MC = bs.mc.load(std::memory_order_relaxed);
     const index_t NC = bs.nc.load(std::memory_order_relaxed);
-    Scratch& s = scratch();
+    Scratch& s = Scratch::get();
     for (index_t pc = 0; pc < k; pc += KC) {
       const index_t kc = std::min(KC, k - pc);
       for (index_t jc = 0; jc < n; jc += NC) {
@@ -396,7 +520,7 @@ struct Blocked {
       // Diagonal block: dense scratch, triangular write-back. The scratch
       // must be copied out before the next block reuses it, and gemm() uses
       // separate pack buffers so there is no aliasing.
-      Scratch& s = scratch();
+      Scratch& s = Scratch::get();
       T* d = s.diag.ensure(s.arena, static_cast<std::size_t>(mb * mb));
       std::fill_n(d, static_cast<std::size_t>(mb * mb), T(0));
       gemm(a + i0 * lda, lda, a + i0 * lda, lda, alpha, d, mb, mb, mb, k);
@@ -617,20 +741,35 @@ void trim_thread_scratch_on_pressure() {
   // pointers (syrk keeps its diag scratch alive across nested gemm calls, so
   // trimming inside a kernel would dangle). Two relaxed atomic loads when no
   // pressure was signalled.
-  Blocked<float>::scratch().arena.maybe_trim_on_pressure();
-  Blocked<double>::scratch().arena.maybe_trim_on_pressure();
+  KernelScratch<float>::get().arena.maybe_trim_on_pressure();
+  KernelScratch<double>::get().arena.maybe_trim_on_pressure();
 }
 
 // --- Blocked entry points ----------------------------------------------------
+//
+// Every kernel has a `*_loop_*` twin: the same engine on the loop micro-
+// kernel, the byte oracle of the AVX-512 one.
 
 void potrf_lower_f64(double* a, index_t n) { Blocked<double>::potrf(a, n, n); }
 void potrf_lower_f32(float* a, index_t n) { Blocked<float>::potrf(a, n, n); }
+void potrf_lower_loop_f64(double* a, index_t n) {
+  Blocked<double, true>::potrf(a, n, n);
+}
+void potrf_lower_loop_f32(float* a, index_t n) {
+  Blocked<float, true>::potrf(a, n, n);
+}
 
 void trsm_rlt_f64(const double* l, double* b, index_t m, index_t n) {
   Blocked<double>::trsm(l, n, b, n, m, n);
 }
 void trsm_rlt_f32(const float* l, float* b, index_t m, index_t n) {
   Blocked<float>::trsm(l, n, b, n, m, n);
+}
+void trsm_rlt_loop_f64(const double* l, double* b, index_t m, index_t n) {
+  Blocked<double, true>::trsm(l, n, b, n, m, n);
+}
+void trsm_rlt_loop_f32(const float* l, float* b, index_t m, index_t n) {
+  Blocked<float, true>::trsm(l, n, b, n, m, n);
 }
 
 void gemm_nt_minus_f64(const double* a, const double* b, double* c, index_t m,
@@ -641,12 +780,26 @@ void gemm_nt_minus_f32(const float* a, const float* b, float* c, index_t m,
                        index_t n, index_t k) {
   Blocked<float>::gemm(a, k, b, k, 1.0f, c, n, m, n, k);
 }
+void gemm_nt_minus_loop_f64(const double* a, const double* b, double* c,
+                            index_t m, index_t n, index_t k) {
+  Blocked<double, true>::gemm(a, k, b, k, 1.0, c, n, m, n, k);
+}
+void gemm_nt_minus_loop_f32(const float* a, const float* b, float* c,
+                            index_t m, index_t n, index_t k) {
+  Blocked<float, true>::gemm(a, k, b, k, 1.0f, c, n, m, n, k);
+}
 
 void syrk_ln_minus_f64(const double* a, double* c, index_t m, index_t k) {
   Blocked<double>::syrk(a, k, 1.0, c, m, m, k);
 }
 void syrk_ln_minus_f32(const float* a, float* c, index_t m, index_t k) {
   Blocked<float>::syrk(a, k, 1.0f, c, m, m, k);
+}
+void syrk_ln_minus_loop_f64(const double* a, double* c, index_t m, index_t k) {
+  Blocked<double, true>::syrk(a, k, 1.0, c, m, m, k);
+}
+void syrk_ln_minus_loop_f32(const float* a, float* c, index_t m, index_t k) {
+  Blocked<float, true>::syrk(a, k, 1.0f, c, m, m, k);
 }
 
 namespace {
@@ -660,6 +813,21 @@ float fold_scales(float sa, float sb) {
   return static_cast<float>(
       std::clamp(alpha, -double{FLT_MAX}, double{FLT_MAX}));
 }
+
+template <bool kLoop>
+void trsm_f16(const float* l, const common::half* b, float b_scale, float* x,
+              index_t m, index_t n) {
+  // Widen the packed halves unscaled into the output buffer and solve there.
+  // The solve is linear in B and b_scale is a power of two, so applying the
+  // scale once at write-back is exact and equal to solving the scaled RHS —
+  // without ever materializing a scaled f32 copy of the tile.
+  widen_f16_block(b, x, m * n);
+  Blocked<float, kLoop>::trsm(l, n, x, n, m, n);
+  if (b_scale != 1.0f) {
+    const index_t count = m * n;
+    for (index_t i = 0; i < count; ++i) x[i] *= b_scale;
+  }
+}
 }  // namespace
 
 void gemm_nt_minus_f16(const common::half* a, float a_scale,
@@ -668,24 +836,29 @@ void gemm_nt_minus_f16(const common::half* a, float a_scale,
   Blocked<float>::gemm(a, k, b, k, fold_scales(a_scale, b_scale), c, n, m, n,
                        k);
 }
+void gemm_nt_minus_loop_f16(const common::half* a, float a_scale,
+                            const common::half* b, float b_scale, float* c,
+                            index_t m, index_t n, index_t k) {
+  Blocked<float, true>::gemm(a, k, b, k, fold_scales(a_scale, b_scale), c, n,
+                             m, n, k);
+}
 
 void syrk_ln_minus_f16(const common::half* a, float a_scale, float* c,
                        index_t m, index_t k) {
   Blocked<float>::syrk(a, k, fold_scales(a_scale, a_scale), c, m, m, k);
 }
+void syrk_ln_minus_loop_f16(const common::half* a, float a_scale, float* c,
+                            index_t m, index_t k) {
+  Blocked<float, true>::syrk(a, k, fold_scales(a_scale, a_scale), c, m, m, k);
+}
 
 void trsm_rlt_f16(const float* l, const common::half* b, float b_scale,
                   float* x, index_t m, index_t n) {
-  // Widen the packed halves unscaled into the output buffer and solve there.
-  // The solve is linear in B and b_scale is a power of two, so applying the
-  // scale once at write-back is exact and equal to solving the scaled RHS —
-  // without ever materializing a scaled f32 copy of the tile.
-  widen_f16_block(b, x, m * n);
-  Blocked<float>::trsm(l, n, x, n, m, n);
-  if (b_scale != 1.0f) {
-    const index_t count = m * n;
-    for (index_t i = 0; i < count; ++i) x[i] *= b_scale;
-  }
+  trsm_f16<false>(l, b, b_scale, x, m, n);
+}
+void trsm_rlt_loop_f16(const float* l, const common::half* b, float b_scale,
+                       float* x, index_t m, index_t n) {
+  trsm_f16<true>(l, b, b_scale, x, m, n);
 }
 
 // --- Kernel tuning -----------------------------------------------------------
@@ -915,26 +1088,92 @@ void round_through_f16(float* data, index_t count) {
   }
 }
 
+namespace {
+
+/// max |src[i]|, skipping NaNs exactly as `std::max(acc, |x|)` does. With
+/// AVX-512 four independent max chains replace the serial one; max is exact
+/// and order-free over non-NaN values, so the result is the scalar scan's.
+/// The |x| operand goes first: MAXP returns its second operand whenever one
+/// is NaN, so a NaN lane keeps the accumulator.
+template <typename T>
+[[gnu::flatten]] T max_abs_scan(const T* src, index_t count) {
+  T acc = 0;
+  index_t i = 0;
+#if defined(__AVX512F__)
+  using Z = Zmm<T>;
+  constexpr index_t L = Z::kLanes;
+  if (count >= L) {
+    typename Z::V m[4] = {Z::zero(), Z::zero(), Z::zero(), Z::zero()};
+    for (; i + 4 * L <= count; i += 4 * L) {
+      unrolled<4>([&](auto u) {
+        m[u] = Z::max(Z::abs(Z::load(src + i + u * L)), m[u]);
+      });
+    }
+    for (; i + L <= count; i += L) {
+      m[0] = Z::max(Z::abs(Z::load(src + i)), m[0]);
+    }
+    acc = Z::reduce_max(Z::max(Z::max(m[0], m[1]), Z::max(m[2], m[3])));
+  }
+#endif
+  for (; i < count; ++i) acc = std::max(acc, std::abs(src[i]));
+  return acc;
+}
+
+#if defined(__AVX512F__) && defined(__F16C__)
+/// Eight finite doubles to halves with one round-to-nearest-even, as
+/// double_to_half_bits does. The doubles are first rounded to odd into
+/// float: truncate, then set the last bit if that dropped anything. Float
+/// keeps at least two more bits than half at every half exponent, so the
+/// hardware's nearest-even float -> half step then rounds exactly as one
+/// direct rounding would (Boldo & Melquiond, "Emulation of FMA and
+/// correctly rounded sums: proved algorithms using rounding to odd", IEEE
+/// Trans. Computers 57(4), 2008). Values below float's normal range are
+/// far below half's smallest subnormal and still round to a signed zero.
+inline __m128i narrow_f64x8_to_f16(__m512d v) {
+  const __m256 t =
+      _mm512_cvt_roundpd_ps(v, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  const __mmask8 inexact =
+      _mm512_cmp_pd_mask(_mm512_cvtps_pd(t), v, _CMP_NEQ_OQ);
+  const __m256i sticky =
+      _mm512_cvtepi64_epi32(_mm512_maskz_set1_epi64(inexact, 1));
+  const __m256 odd =
+      _mm256_castsi256_ps(_mm256_or_si256(_mm256_castps_si256(t), sticky));
+  return _mm256_cvtps_ph(odd, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+}
+#endif
+
+}  // namespace
+
 float convert_f64_to_f16_scaled(const double* src, common::half* dst,
                                 index_t count) {
-  double max_abs = 0.0;
-  for (index_t i = 0; i < count; ++i) {
-    max_abs = std::max(max_abs, std::abs(src[i]));
-  }
-  const float scale = pick_f16_scale(max_abs);
+  const float scale = pick_f16_scale(max_abs_scan(src, count));
   // 1/scale is a normal float by construction; multiplying by it is exact.
   const double inv = 1.0 / static_cast<double>(scale);
-  for (index_t i = 0; i < count; ++i) dst[i] = common::half(src[i] * inv);
+  index_t i = 0;
+#if defined(__AVX512F__) && defined(__F16C__)
+  const __m512d vinv = _mm512_set1_pd(inv);
+  const __m512d inf = _mm512_set1_pd(HUGE_VAL);
+  for (; i + 8 <= count; i += 8) {
+    const __m512d v = _mm512_mul_pd(_mm512_loadu_pd(src + i), vinv);
+    if (_mm512_cmp_pd_mask(_mm512_abs_pd(v), inf, _CMP_NLT_UQ) != 0) {
+      // Inf or NaN in the block: the scalar path keeps their encodings.
+      for (index_t j = i; j < i + 8; ++j) dst[j] = common::half(src[j] * inv);
+      continue;
+    }
+    const __m128i h = narrow_f64x8_to_f16(v);
+    // half is a trivially-copyable wire type; the void* cast silences
+    // -Wclass-memaccess, which can't see through the constructor overloads.
+    std::memcpy(static_cast<void*>(dst + i), &h, 16);
+  }
+#endif
+  for (; i < count; ++i) dst[i] = common::half(src[i] * inv);
   return scale;
 }
 
 float convert_f32_to_f16_scaled(const float* src, common::half* dst,
                                 index_t count) {
-  float max_abs = 0.0f;
-  for (index_t i = 0; i < count; ++i) {
-    max_abs = std::max(max_abs, std::abs(src[i]));
-  }
-  const float scale = pick_f16_scale(static_cast<double>(max_abs));
+  const float scale =
+      pick_f16_scale(static_cast<double>(max_abs_scan(src, count)));
   const float inv = 1.0f / scale;
   index_t i = 0;
 #if defined(__F16C__)
@@ -943,8 +1182,6 @@ float convert_f32_to_f16_scaled(const float* src, common::half* dst,
     const __m256 v = _mm256_mul_ps(_mm256_loadu_ps(src + i), vinv);
     const __m128i h =
         _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    // half is a trivially-copyable wire type; the void* cast silences
-    // -Wclass-memaccess, which can't see through the constructor overloads.
     std::memcpy(static_cast<void*>(dst + i), &h, 16);
   }
 #endif
@@ -955,6 +1192,49 @@ float convert_f32_to_f16_scaled(const float* src, common::half* dst,
 void convert_f16_scaled_to_f64(const common::half* src, float scale,
                                double* dst, index_t count) {
   const double s = static_cast<double>(scale);
+  index_t i = 0;
+#if defined(__AVX512F__) && defined(__F16C__)
+  // Both widenings are exact; the one rounding is the multiply, as below.
+  const __m512d vs = _mm512_set1_pd(s);
+  for (; i + 8 <= count; i += 8) {
+    __m128i h;
+    std::memcpy(&h, src + i, 16);
+    _mm512_storeu_pd(dst + i,
+                     _mm512_mul_pd(_mm512_cvtps_pd(_mm256_cvtph_ps(h)), vs));
+  }
+#endif
+  for (; i < count; ++i) {
+    dst[i] = static_cast<double>(common::half_bits_to_float(src[i].bits())) * s;
+  }
+}
+
+float convert_f64_to_f16_scaled_ref(const double* src, common::half* dst,
+                                    index_t count) {
+  double max_abs = 0.0;
+  for (index_t i = 0; i < count; ++i) {
+    max_abs = std::max(max_abs, std::abs(src[i]));
+  }
+  const float scale = pick_f16_scale(max_abs);
+  const double inv = 1.0 / static_cast<double>(scale);
+  for (index_t i = 0; i < count; ++i) dst[i] = common::half(src[i] * inv);
+  return scale;
+}
+
+float convert_f32_to_f16_scaled_ref(const float* src, common::half* dst,
+                                    index_t count) {
+  float max_abs = 0.0f;
+  for (index_t i = 0; i < count; ++i) {
+    max_abs = std::max(max_abs, std::abs(src[i]));
+  }
+  const float scale = pick_f16_scale(static_cast<double>(max_abs));
+  const float inv = 1.0f / scale;
+  for (index_t i = 0; i < count; ++i) dst[i] = common::half(src[i] * inv);
+  return scale;
+}
+
+void convert_f16_scaled_to_f64_ref(const common::half* src, float scale,
+                                   double* dst, index_t count) {
+  const double s = static_cast<double>(scale);
   for (index_t i = 0; i < count; ++i) {
     dst[i] = static_cast<double>(common::half_bits_to_float(src[i].bits())) * s;
   }
@@ -962,9 +1242,24 @@ void convert_f16_scaled_to_f64(const common::half* src, float scale,
 
 void convert_f16_scaled_to_f32(const common::half* src, float scale,
                                float* dst, index_t count) {
-  widen_f16_block(src, dst, count);
-  if (scale == 1.0f) return;
-  for (index_t i = 0; i < count; ++i) dst[i] *= scale;
+  if (scale == 1.0f) {
+    widen_f16_block(src, dst, count);
+    return;
+  }
+  // Widen and scale in one pass, split between the F16C body and the
+  // software tail exactly as widen_f16_block splits it.
+  index_t i = 0;
+#if defined(__F16C__)
+  const __m256 vs = _mm256_set1_ps(scale);
+  for (; i + 8 <= count; i += 8) {
+    __m128i h;
+    std::memcpy(&h, src + i, 16);
+    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_cvtph_ps(h), vs));
+  }
+#endif
+  for (; i < count; ++i) {
+    dst[i] = common::half_bits_to_float(src[i].bits()) * scale;
+  }
 }
 
 // --- Serving: batched multi-RHS apply over a packed-triangle factor ---------
@@ -1085,16 +1380,6 @@ struct RowStrip {
   const double* row[R];
   index_t count[R];
 };
-
-/// Calls f(i) for i = 0..N-1 with i a compile-time constant. A register
-/// block's accumulators are indexed only this way: GCC keeps an array in
-/// registers only when every index is a constant.
-template <int N, typename F>
-inline void unrolled(F&& f) {
-  [&]<int... I>(std::integer_sequence<int, I...>) {
-    (f(std::integral_constant<int, I>{}), ...);
-  }(std::make_integer_sequence<int, N>{});
-}
 
 /// X rows x[i][0..w) += sum over the strip of row[i][t] * z[t * k_cols + ..],
 /// NV = ceil(w / 8) vectors per row; only columns set in `keep` are stored.

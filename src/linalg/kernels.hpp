@@ -126,7 +126,8 @@ std::string tune_mode_name(TuneMode mode);
 // --- Factorization kernels -------------------------------------------------
 //
 // The primary entry points below run the cache-blocked engine: packed panels
-// streamed through an MR x NR register-tiled micro-kernel (see docs/PERF.md).
+// streamed through an MR x NR register-tiled micro-kernel, explicit AVX-512
+// intrinsics where the ISA has them (see docs/PERF.md).
 // Each kernel keeps its original scalar implementation as a `*_ref` oracle;
 // the blocked results match the oracles to accumulation-order rounding
 // (~1e-13 relative in f64), which tests/kernels_blocked_test.cpp asserts.
@@ -204,6 +205,33 @@ void gemm_nt_minus_ref_f32(const float* a, const float* b, float* c, index_t m,
 void syrk_ln_minus_ref_f64(const double* a, double* c, index_t m, index_t k);
 void syrk_ln_minus_ref_f32(const float* a, float* c, index_t m, index_t k);
 
+// --- Loop micro-kernel oracles ----------------------------------------------
+//
+// The blocked engine above with its portable loop micro-kernel in place of
+// the explicit AVX-512 one: same packing, blocking and panel code, and the
+// same per-entry operations (one fused multiply-add per k, ascending, then
+// one fused c - alpha * acc). The primary entry points must match these
+// byte for byte; without AVX-512 they are the same code.
+// `scripts/check.sh --lint` keeps them out of the rest of src/.
+
+void potrf_lower_loop_f64(double* a, index_t n);
+void potrf_lower_loop_f32(float* a, index_t n);
+void trsm_rlt_loop_f64(const double* l, double* b, index_t m, index_t n);
+void trsm_rlt_loop_f32(const float* l, float* b, index_t m, index_t n);
+void trsm_rlt_loop_f16(const float* l, const common::half* b, float b_scale,
+                       float* x, index_t m, index_t n);
+void gemm_nt_minus_loop_f64(const double* a, const double* b, double* c,
+                            index_t m, index_t n, index_t k);
+void gemm_nt_minus_loop_f32(const float* a, const float* b, float* c,
+                            index_t m, index_t n, index_t k);
+void gemm_nt_minus_loop_f16(const common::half* a, float a_scale,
+                            const common::half* b, float b_scale, float* c,
+                            index_t m, index_t n, index_t k);
+void syrk_ln_minus_loop_f64(const double* a, double* c, index_t m, index_t k);
+void syrk_ln_minus_loop_f32(const float* a, float* c, index_t m, index_t k);
+void syrk_ln_minus_loop_f16(const common::half* a, float a_scale, float* c,
+                            index_t m, index_t k);
+
 /// The scalar sampling apply: one k-wide axpy per factor element, widening
 /// f32/f16 entries at read. sample_apply_packed (below) must match it byte
 /// for byte; `scripts/check.sh --lint` keeps it out of the rest of src/.
@@ -251,6 +279,20 @@ void convert_f16_scaled_to_f64(const common::half* src, float scale,
                                double* dst, index_t count);
 void convert_f16_scaled_to_f32(const common::half* src, float scale,
                                float* dst, index_t count);
+
+/// Scalar oracles of the three conversions above that have AVX-512 bodies
+/// (vector max-abs scans, round-to-odd f64 -> f16 narrowing, F16C
+/// widening). The vector forms must match them byte for byte, NaN and
+/// infinity lanes included; `scripts/check.sh --lint` keeps them out of the
+/// rest of src/. The f32 narrowing's F16C step keeps a NaN's upper payload
+/// bits where the oracle writes the default quiet NaN, so only default NaNs
+/// are pinned there.
+float convert_f64_to_f16_scaled_ref(const double* src, common::half* dst,
+                                    index_t count);
+float convert_f32_to_f16_scaled_ref(const float* src, common::half* dst,
+                                    index_t count);
+void convert_f16_scaled_to_f64_ref(const common::half* src, float scale,
+                                   double* dst, index_t count);
 
 // --- Serving: batched multi-RHS apply over a packed-triangle factor ---------
 //

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/half.hpp"
@@ -132,6 +136,137 @@ TEST(ScaledF16, AllZeroBufferGetsUnitScale) {
   std::vector<half> packed(src.size());
   EXPECT_EQ(convert_f64_to_f16_scaled(src.data(), packed.data(), 16), 1.0f);
   for (const half& h : packed) EXPECT_EQ(h.bits(), 0u);
+}
+
+// ---------- vector conversions against their scalar oracles -----------------
+
+/// Value families for the narrowing conversions, each exercising one edge.
+std::vector<std::vector<double>> narrowing_families() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double snan = std::numeric_limits<double>::signaling_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  common::Rng rng(28);
+  std::vector<std::vector<double>> fam;
+  // Every half below 2^15, each midpoint to its neighbour (a tie at half
+  // precision) and points 2^-40 relative off it, where rounding through
+  // float first would round twice; alternating signs, scale 1. Runs over
+  // the half-subnormal range too.
+  std::vector<double> ties;
+  for (std::uint16_t b = 0; b < 0x7800; ++b) {
+    const double h = static_cast<double>(half::from_bits(b));
+    const double next = static_cast<double>(half::from_bits(b + 1));
+    const double mid = 0.5 * (h + next);
+    const double sign = (b & 1u) != 0 ? -1.0 : 1.0;
+    for (const double v : {h, mid, mid * (1.0 + std::ldexp(1.0, -40)),
+                           mid * (1.0 - std::ldexp(1.0, -40))}) {
+      ties.push_back(sign * v);
+    }
+  }
+  fam.push_back(ties);
+  // Normals of mixed magnitude with +-0, double subnormals and NaN lanes
+  // (quiet, negative, signaling) scattered through the vector bodies.
+  std::vector<double> mixed(1000);
+  for (auto& v : mixed) v = rng.normal() * std::pow(10.0, rng.uniform(-3, 6));
+  for (std::size_t i = 3; i < mixed.size(); i += 37) {
+    const double special[] = {0.0, -0.0, nan, -nan, snan, dmin, -4 * dmin};
+    mixed[i] = special[(i / 37) % std::size(special)];
+  }
+  fam.push_back(mixed);
+  // The same with +-inf lanes: an infinite max-abs gives scale 1.
+  std::vector<double> infs = mixed;
+  infs[90] = inf;
+  infs[411] = -inf;
+  fam.push_back(infs);
+  // All tiny: the scale clamps at 2^-125 and double subnormals stay below
+  // float's range after scaling.
+  std::vector<double> tiny(257);
+  for (auto& v : tiny) v = rng.normal() * 1e-300;
+  tiny[17] = dmin;
+  tiny[18] = -dmin;
+  fam.push_back(tiny);
+  // All huge: the scale clamps at 2^126 and large entries overflow to inf.
+  std::vector<double> huge(129);
+  for (auto& v : huge) v = rng.normal() * std::pow(10.0, rng.uniform(38, 300));
+  fam.push_back(huge);
+  return fam;
+}
+
+/// The f32 form of a family. Signaling or payload-carrying NaNs become the
+/// default quiet NaN of their sign (see convert_f32_to_f16_scaled_ref).
+std::vector<float> to_float(const std::vector<double>& v) {
+  std::vector<float> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::isnan(v[i])
+                 ? std::copysign(std::numeric_limits<float>::quiet_NaN(),
+                                 static_cast<float>(v[i]))
+                 : static_cast<float>(v[i]);
+  }
+  return out;
+}
+
+bool same_halves(const std::vector<half>& a, const std::vector<half>& b) {
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(half)) == 0;
+}
+
+TEST(Fp16Scaled, ScaledConversionsMatchScalarBytes) {
+  // Whole families and prefixes that leave every tail length of the 8- and
+  // 16-lane bodies (and of the 4-vector max-abs unroll).
+  const std::size_t prefixes[] = {0,  1,  7,  8,  9,  15, 16,
+                                  17, 31, 33, 63, 65, 129};
+  for (const std::vector<double>& fam : narrowing_families()) {
+    const std::vector<float> famf = to_float(fam);
+    std::vector<std::size_t> counts(std::begin(prefixes), std::end(prefixes));
+    counts.push_back(fam.size());
+    for (std::size_t count : counts) {
+      count = std::min(count, fam.size());
+      const auto n = static_cast<index_t>(count);
+      const std::string where = "family size " + std::to_string(fam.size()) +
+                                " count " + std::to_string(count);
+      std::vector<half> got(count), want(count);
+      EXPECT_EQ(convert_f64_to_f16_scaled(fam.data(), got.data(), n),
+                convert_f64_to_f16_scaled_ref(fam.data(), want.data(), n))
+          << where;
+      EXPECT_TRUE(same_halves(got, want)) << "f64 " << where;
+      EXPECT_EQ(convert_f32_to_f16_scaled(famf.data(), got.data(), n),
+                convert_f32_to_f16_scaled_ref(famf.data(), want.data(), n))
+          << where;
+      EXPECT_TRUE(same_halves(got, want)) << "f32 " << where;
+    }
+  }
+  // Widening: every binary16 encoding (subnormals, +-0, +-inf, quiet and
+  // signaling NaNs) under unit, clamp-end and non-power-of-two scales. The
+  // f32 form has no oracle function: a scaled element is its exact widening
+  // times the scale, one float multiply.
+  std::vector<half> all(1u << 16);
+  for (std::size_t b = 0; b < all.size(); ++b) {
+    all[b] = half::from_bits(static_cast<std::uint16_t>(b));
+  }
+  for (const float scale : {1.0f, std::ldexp(1.0f, -125), std::ldexp(1.0f, 126),
+                            std::ldexp(1.0f, -20), 0.375f}) {
+    // All encodings, then a slice whose +inf and first NaNs land in the
+    // scalar tail.
+    const std::pair<std::size_t, std::size_t> ranges[] = {{0, all.size()},
+                                                          {0x7BF8, 13}};
+    for (const auto& [first, count] : ranges) {
+      const auto n = static_cast<index_t>(count);
+      std::vector<double> got(count), want(count);
+      convert_f16_scaled_to_f64(all.data() + first, scale, got.data(), n);
+      convert_f16_scaled_to_f64_ref(all.data() + first, scale, want.data(), n);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(double)),
+                0)
+          << "scale " << scale << " first " << first;
+      if (scale == 1.0f) continue;  // a plain widen; nothing is multiplied
+      std::vector<float> gotf(count), wantf(count);
+      convert_f16_scaled_to_f32(all.data() + first, scale, gotf.data(), n);
+      for (std::size_t i = 0; i < count; ++i) {
+        wantf[i] = common::half_bits_to_float(all[first + i].bits()) * scale;
+      }
+      EXPECT_EQ(std::memcmp(gotf.data(), wantf.data(), count * sizeof(float)),
+                0)
+          << "f32 scale " << scale << " first " << first;
+    }
+  }
 }
 
 // ---------- TileBuffer scaled storage ---------------------------------------

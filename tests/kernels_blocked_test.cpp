@@ -8,7 +8,8 @@
 // autotuner may select, not just the compiled-in defaults. The packed
 // sampling apply and the training kernels (the batched trend fit, the
 // harmonic-table trend series and the blocked innovation covariance) are
-// held to a stricter rule: byte equality with their oracles.
+// held to a stricter rule: byte equality with their oracles, and so are the
+// explicit AVX-512 micro-kernels with the loop micro-kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -387,10 +388,159 @@ bool same_bytes(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// A random tile narrowed to packed halves, with its max-abs scale.
+struct HalfTile {
+  std::vector<common::half> h;
+  float scale = 1.0f;
+};
+
+HalfTile random_half_tile(index_t count, std::uint64_t seed) {
+  const auto f = random_vec<float>(count, seed);
+  HalfTile t;
+  t.h.resize(static_cast<std::size_t>(count));
+  t.scale = convert_f32_to_f16_scaled(f.data(), t.h.data(), count);
+  return t;
+}
+
+TEST(KernelsBlocked, MicroKernelMatchesLoopBytes) {
+  // The explicit AVX-512 micro-kernels against the loop micro-kernel through
+  // every public entry point: m and n ragged around the 4/8 x 32 register
+  // tile, depths below KC and past it (two and three k panels), and the
+  // packed-half write-back scale alpha = 1.125, where a separate multiply
+  // and subtract would round differently from the one fused update.
+  const index_t sizes[] = {1, 5, 33, 77, 100, 130};
+  const index_t depths[] = {1, 33, 300, 513};
+  const float extra_scales[] = {1.0f, 0.375f};  // times 3 on the B side
+  std::uint64_t seed = 900;
+  for (std::size_t mi = 0; mi < std::size(sizes); ++mi) {
+    const index_t m = sizes[mi];
+    for (std::size_t ni = 0; ni < std::size(sizes); ++ni) {
+      const index_t n = sizes[ni];
+      const index_t k = depths[(mi + ni) % std::size(depths)];
+      const std::string where = " m=" + std::to_string(m) +
+                                " n=" + std::to_string(n) +
+                                " k=" + std::to_string(k);
+      {
+        const auto a = random_vec<double>(m * k, ++seed);
+        const auto b = random_vec<double>(n * k, ++seed);
+        auto got = random_vec<double>(m * n, ++seed);
+        auto want = got;
+        gemm_nt_minus_f64(a.data(), b.data(), got.data(), m, n, k);
+        gemm_nt_minus_loop_f64(a.data(), b.data(), want.data(), m, n, k);
+        EXPECT_TRUE(same_bytes(got, want)) << "gemm f64" << where;
+      }
+      {
+        const auto a = random_vec<float>(m * k, ++seed);
+        const auto b = random_vec<float>(n * k, ++seed);
+        auto got = random_vec<float>(m * n, ++seed);
+        auto want = got;
+        gemm_nt_minus_f32(a.data(), b.data(), got.data(), m, n, k);
+        gemm_nt_minus_loop_f32(a.data(), b.data(), want.data(), m, n, k);
+        EXPECT_TRUE(same_bytes(got, want)) << "gemm f32" << where;
+      }
+      {
+        const HalfTile a = random_half_tile(m * k, ++seed);
+        const HalfTile b = random_half_tile(n * k, ++seed);
+        for (const float x : extra_scales) {
+          const float sb = x == 1.0f ? b.scale : 3.0f * b.scale;
+          auto got = random_vec<float>(m * n, ++seed);
+          auto want = got;
+          gemm_nt_minus_f16(a.h.data(), x * a.scale, b.h.data(), sb,
+                            got.data(), m, n, k);
+          gemm_nt_minus_loop_f16(a.h.data(), x * a.scale, b.h.data(), sb,
+                                 want.data(), m, n, k);
+          EXPECT_TRUE(same_bytes(got, want)) << "gemm f16 x=" << x << where;
+        }
+      }
+      // TRSM: n is the order of the triangle.
+      {
+        auto l = spd_tile<double>(n);
+        potrf_lower_ref_f64(l.data(), n);
+        auto got = random_vec<double>(m * n, ++seed);
+        auto want = got;
+        trsm_rlt_f64(l.data(), got.data(), m, n);
+        trsm_rlt_loop_f64(l.data(), want.data(), m, n);
+        EXPECT_TRUE(same_bytes(got, want)) << "trsm f64" << where;
+      }
+      {
+        auto l = spd_tile<float>(n);
+        potrf_lower_ref_f32(l.data(), n);
+        auto got = random_vec<float>(m * n, ++seed);
+        auto want = got;
+        trsm_rlt_f32(l.data(), got.data(), m, n);
+        trsm_rlt_loop_f32(l.data(), want.data(), m, n);
+        EXPECT_TRUE(same_bytes(got, want)) << "trsm f32" << where;
+        const HalfTile b = random_half_tile(m * n, ++seed);
+        for (const float x : extra_scales) {
+          std::vector<float> got16(static_cast<std::size_t>(m * n));
+          std::vector<float> want16(got16.size());
+          trsm_rlt_f16(l.data(), b.h.data(), x * b.scale, got16.data(), m, n);
+          trsm_rlt_loop_f16(l.data(), b.h.data(), x * b.scale, want16.data(),
+                            m, n);
+          EXPECT_TRUE(same_bytes(got16, want16)) << "trsm f16 x=" << x << where;
+        }
+      }
+    }
+    for (const index_t k : depths) {
+      const std::string where =
+          " m=" + std::to_string(m) + " k=" + std::to_string(k);
+      {
+        const auto a = random_vec<double>(m * k, ++seed);
+        auto got = random_vec<double>(m * m, ++seed);
+        auto want = got;
+        syrk_ln_minus_f64(a.data(), got.data(), m, k);
+        syrk_ln_minus_loop_f64(a.data(), want.data(), m, k);
+        EXPECT_TRUE(same_bytes(got, want)) << "syrk f64" << where;
+      }
+      {
+        const auto a = random_vec<float>(m * k, ++seed);
+        auto got = random_vec<float>(m * m, ++seed);
+        auto want = got;
+        syrk_ln_minus_f32(a.data(), got.data(), m, k);
+        syrk_ln_minus_loop_f32(a.data(), want.data(), m, k);
+        EXPECT_TRUE(same_bytes(got, want)) << "syrk f32" << where;
+      }
+      const HalfTile a = random_half_tile(m * k, ++seed);
+      for (const float x : extra_scales) {
+        auto got = random_vec<float>(m * m, ++seed);
+        auto want = got;
+        syrk_ln_minus_f16(a.h.data(), x * a.scale, got.data(), m, k);
+        syrk_ln_minus_loop_f16(a.h.data(), x * a.scale, want.data(), m, k);
+        EXPECT_TRUE(same_bytes(got, want)) << "syrk f16 x=" << x << where;
+      }
+    }
+  }
+  // A triangle past KC + NB, so the TRSM panel updates reach a second k
+  // panel, and factorizations whose recursion runs every kernel.
+  for (const index_t m : {5, 77}) {
+    const index_t n = 333;
+    auto l = spd_tile<double>(n);
+    potrf_lower_ref_f64(l.data(), n);
+    auto got = random_vec<double>(m * n, ++seed);
+    auto want = got;
+    trsm_rlt_f64(l.data(), got.data(), m, n);
+    trsm_rlt_loop_f64(l.data(), want.data(), m, n);
+    EXPECT_TRUE(same_bytes(got, want)) << "trsm f64 m=" << m << " n=" << n;
+  }
+  for (const index_t n : {1, 5, 33, 77, 100, 130, 300}) {
+    auto got = spd_tile<double>(n);
+    auto want = got;
+    potrf_lower_f64(got.data(), n);
+    potrf_lower_loop_f64(want.data(), n);
+    EXPECT_TRUE(same_bytes(got, want)) << "potrf f64 n=" << n;
+    auto got32 = spd_tile<float>(n);
+    auto want32 = got32;
+    potrf_lower_f32(got32.data(), n);
+    potrf_lower_loop_f32(want32.data(), n);
+    EXPECT_TRUE(same_bytes(got32, want32)) << "potrf f32 n=" << n;
+  }
 }
 
 TEST(KernelsBlocked, CovarianceMatchesRefBytes) {
