@@ -338,6 +338,12 @@ int cmd_train(const std::map<std::string, std::string>& args) {
               static_cast<long long>(cfg.harmonics),
               linalg::variant_name(cfg.cholesky_variant).c_str(),
               report.covariance_deficient ? ", covariance jittered" : "");
+  if (report.covariance_rung > 0) {
+    std::printf("covariance: factored at jitter-ladder rung %lld, diagonal "
+                "+ %.3g\n",
+                static_cast<long long>(report.covariance_rung),
+                report.covariance_jitter);
+  }
   if (report.validation_flagged > 0) {
     std::printf("input validation: %lld cell(s) flagged, %lld quarantined\n",
                 static_cast<long long>(report.validation_flagged),

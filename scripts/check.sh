@@ -57,6 +57,12 @@ run() { echo "+ $*" >&2; "$@"; }
 #   * the training kernels' scalar oracles (fit_trend_ref,
 #     empirical_covariance_ref) appear in src/ only in their own stats/
 #     files — tests compare against them, the pipeline never runs them;
+#   * the dense cholesky_dense is called in src/ only in linalg/matrix.*
+#     and for the p x p normal equations of stats/ar.cpp and stats/ols.cpp,
+#     and no dense positive-definiteness probe (is_positive_definite,
+#     ensure_positive_definite) exists — U-hat is proven definite only by
+#     the tiled Cholesky that factors it, whose POTRF failures drive the
+#     training jitter ladder;
 #   * the tile kernels' loop micro-kernel oracles (*_loop_f16/f32/f64) and
 #     the scalar conversion oracles (convert_*_ref) appear in src/ only in
 #     linalg/kernels.* — the pipeline runs the explicit AVX-512 forms;
@@ -175,6 +181,21 @@ lint() {
           | grep -vE '^src/stats/covariance\.(hpp|cpp):' || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: empirical_covariance_ref (the scalar oracle) used outside stats/covariance.*:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bcholesky_dense\(' src \
+          | grep -vE '^src/(linalg/matrix\.(hpp|cpp)|stats/(ar|ols)\.cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: cholesky_dense called outside linalg/matrix.* and the AR/OLS normal equations (factor through runtime::cholesky_tiled_parallel):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\b(is|ensure)_positive_definite\b' src || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: dense positive-definiteness probe in src/ (the tiled Cholesky's POTRF decides):" >&2
     echo "$hits" >&2
     fail=1
   fi

@@ -18,8 +18,10 @@ std::uint16_t float_to_half_bits(float f) noexcept {
   const std::uint32_t abs = u & 0x7FFFFFFFu;
 
   if (abs >= 0x7F800000u) {
-    // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
-    const std::uint32_t mant = abs > 0x7F800000u ? 0x0200u : 0u;
+    // Inf or NaN. A NaN comes out quiet with the top of its payload, as
+    // F16C's vcvtps2ph writes it.
+    const std::uint32_t mant =
+        abs > 0x7F800000u ? 0x0200u | ((abs >> 13) & 0x03FFu) : 0u;
     return static_cast<std::uint16_t>(sign | 0x7C00u | mant);
   }
   if (abs >= 0x477FF000u) {
@@ -61,8 +63,12 @@ std::uint16_t double_to_half_bits(double d) noexcept {
   const std::uint64_t abs = u & 0x7FFFFFFFFFFFFFFFull;
 
   if (abs >= 0x7FF0000000000000ull) {
-    // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
-    const std::uint32_t mant = abs > 0x7FF0000000000000ull ? 0x0200u : 0u;
+    // Inf or NaN. A NaN comes out quiet with the top of its payload, as
+    // float_to_half_bits(float(d)) would write it.
+    const std::uint32_t mant =
+        abs > 0x7FF0000000000000ull
+            ? 0x0200u | static_cast<std::uint32_t>((abs >> 42) & 0x03FFu)
+            : 0u;
     return static_cast<std::uint16_t>(sign | 0x7C00u | mant);
   }
 
@@ -112,8 +118,10 @@ float half_bits_to_float(std::uint16_t h) noexcept {
   const std::uint32_t mant = h & 0x03FFu;
 
   if (exp == 0x1Fu) {
-    // Inf / NaN.
-    return bits_float(sign | 0x7F800000u | (mant << 13));
+    // Inf, or a NaN made quiet with its payload kept, as F16C's vcvtph2ps
+    // widens it.
+    const std::uint32_t quiet = mant != 0 ? 0x00400000u : 0u;
+    return bits_float(sign | 0x7F800000u | quiet | (mant << 13));
   }
   if (exp == 0) {
     if (mant == 0) return bits_float(sign);  // +/- 0

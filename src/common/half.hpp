@@ -14,6 +14,8 @@ namespace exaclim::common {
 
 /// Convert an IEEE binary32 float to binary16 bits (round-to-nearest-even,
 /// overflow to infinity, denormal support).
+/// All three conversions write a NaN as F16C does: sign, quiet bit, then the
+/// top payload bits (f32 0x7FA00000 -> f16 0x7F00 -> f32 0x7FE00000).
 std::uint16_t float_to_half_bits(float f) noexcept;
 
 /// Convert an IEEE binary64 double to binary16 bits with a SINGLE
@@ -23,7 +25,8 @@ std::uint16_t float_to_half_bits(float f) noexcept;
 /// straight to the f16 grid.
 std::uint16_t double_to_half_bits(double d) noexcept;
 
-/// Convert IEEE binary16 bits to a binary32 float (exact).
+/// Convert IEEE binary16 bits to a binary32 float (exact but for a signaling
+/// NaN, which comes out quiet).
 float half_bits_to_float(std::uint16_t h) noexcept;
 
 /// IEEE-754 binary16 value type. Arithmetic is intentionally not provided:

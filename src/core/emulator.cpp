@@ -9,6 +9,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "runtime/failure.hpp"
 #include "runtime/sampling_dag.hpp"
 #include "runtime/tiled_cholesky_rt.hpp"
 #include "sht/packing.hpp"
@@ -205,13 +206,12 @@ TrainedVariables train_variables(
   // U-hat's working set (packed samples, U-hat, the Cholesky tiles) from
   // stacking on top of them.
   f = linalg::Matrix();
-  const stats::PreparedCovariance prepared =
+  stats::PreparedCovariance prepared =
       stats::prepare_covariance(xi, config.jitter_base, threads);
   xi = linalg::Matrix();
-  report.covariance_jitter = prepared.jitter;
   report.covariance_deficient = prepared.was_deficient;
   // The cross-variable diagnostic needs U-hat, which training does not keep.
-  const linalg::Matrix& u = prepared.u;
+  linalg::Matrix& u = prepared.u;
   out.cross_correlation.resize(static_cast<std::size_t>(num_vars * num_vars));
   for (index_t a = 0; a < num_vars; ++a) {
     for (index_t b = 0; b < num_vars; ++b) {
@@ -228,20 +228,45 @@ TrainedVariables train_variables(
   }
   report.covariance_seconds = stage.seconds();
 
-  // Mixed-precision tiled Cholesky of U-hat (the paper's headline solver).
+  // Mixed-precision tiled Cholesky of U-hat (the paper's headline solver),
+  // the only test that U-hat is definite. A POTRF failure it cannot recover
+  // climbs the jitter ladder: rung k sets U-hat(i, i) = d(i) + j_k, with d
+  // the diagonal after the deficiency jitter, j_1 = jitter_unit and j_k =
+  // 10 j_{k-1}, and factors fresh tiles. Only the first attempt resumes.
   stage.reset();
   const index_t nb = std::min(config.tile_size, n);
   const index_t nt = (n + nb - 1) / nb;
-  linalg::TiledSymmetricMatrix tiled = linalg::TiledSymmetricMatrix::from_dense(
-      u, nb, linalg::make_band_policy(nt, config.cholesky_variant));
-  report.tiles_degraded_for_memory = tiled.tiles_degraded_for_memory();
-  const runtime::RtCholeskyResult rt =
-      runtime::cholesky_tiled_parallel(tiled, cholesky_options(config));
+  const linalg::PrecisionMap policy =
+      linalg::make_band_policy(nt, config.cholesky_variant);
+  runtime::RtCholeskyOptions options = cholesky_options(config);
+  std::vector<double> diag;  // d
+  for (index_t i = 0; i < n; ++i) diag.push_back(u(i, i));
+  double rung_jitter = 0.0;
+  runtime::RtCholeskyResult rt;
+  for (int rung = 0;; ++rung) {
+    linalg::TiledSymmetricMatrix tiled =
+        linalg::TiledSymmetricMatrix::from_dense(u, nb, policy);
+    try {
+      rt = runtime::cholesky_tiled_parallel(tiled, options);
+    } catch (const runtime::TaskFailure& e) {
+      if (e.kind() != "POTRF" || rung == runtime::kFactorJitterRungs) throw;
+      rung_jitter = rung == 0 ? prepared.jitter_unit : rung_jitter * 10.0;
+      for (index_t i = 0; i < n; ++i) {
+        u(i, i) = diag[static_cast<std::size_t>(i)] + rung_jitter;
+      }
+      options.ft.resume_path.clear();
+      continue;
+    }
+    report.covariance_rung = rung;
+    report.tiles_degraded_for_memory = tiled.tiles_degraded_for_memory();
+    out.factor = tiled.to_dense(/*lower_only=*/true);
+    break;
+  }
+  report.covariance_jitter = prepared.jitter + rung_jitter;
   report.precision_escalations = rt.precision_escalations;
   report.jitter_escalations = rt.jitter_escalations;
   report.checkpoints_written = rt.checkpoints_written;
   report.resumed_from_checkpoint = rt.resumed;
-  out.factor = tiled.to_dense(/*lower_only=*/true);
   report.cholesky_seconds = stage.seconds();
 
   report.total_seconds = total.seconds();

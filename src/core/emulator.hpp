@@ -9,7 +9,8 @@
 //   3. Per coefficient: diagonal VAR(P) — scalar AR(P) fits shared across
 //      the ensemble.
 //   4. Innovation covariance U-hat (Eq. 9) with diagonal perturbation when
-//      rank deficient, then mixed-precision tiled Cholesky U = V V^T.
+//      rank deficient, then mixed-precision tiled Cholesky U = V V^T; a
+//      POTRF failure there adds a growing diagonal jitter and factors again.
 // Training is shared with the multivariate emulator through train_variables,
 // which runs these stages for V co-located variables (V = 1 here).
 // Emulation (Section III-B; emulate_variables, shared with the multivariate
@@ -44,11 +45,12 @@ struct TrainReport {
   double covariance_seconds = 0.0;
   double cholesky_seconds = 0.0;
   double total_seconds = 0.0;
-  double covariance_jitter = 0.0;
+  double covariance_jitter = 0.0;  ///< deficiency jitter + the rung's
   bool covariance_deficient = false;
+  index_t covariance_rung = 0;  ///< jitter-ladder rung that factored U-hat
   index_t innovation_samples = 0;  ///< R (T - P)
 
-  // Fault-tolerance outcomes from the tiled Cholesky.
+  // Fault-tolerance outcomes of the factorization that produced the factor.
   index_t precision_escalations = 0;
   index_t jitter_escalations = 0;
   index_t checkpoints_written = 0;

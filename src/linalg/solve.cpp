@@ -26,30 +26,4 @@ void add_diagonal_jitter(Matrix& a, double eps) {
   for (index_t i = 0; i < a.rows(); ++i) a(i, i) += eps;
 }
 
-bool is_positive_definite(const Matrix& a) {
-  Matrix copy = a;
-  try {
-    cholesky_dense(copy);
-    return true;
-  } catch (const NumericalError&) {
-    return false;
-  }
-}
-
-double ensure_positive_definite(Matrix& a, double base, int max_tries) {
-  EXACLIM_CHECK(base > 0.0, "jitter base must be positive");
-  if (is_positive_definite(a)) return 0.0;
-  double jitter = base;
-  for (int attempt = 0; attempt < max_tries; ++attempt) {
-    Matrix trial = a;
-    add_diagonal_jitter(trial, jitter);
-    if (is_positive_definite(trial)) {
-      add_diagonal_jitter(a, jitter);
-      return jitter;
-    }
-    jitter *= 10.0;
-  }
-  throw NumericalError("could not reach positive definiteness with jitter");
-}
-
 }  // namespace exaclim::linalg

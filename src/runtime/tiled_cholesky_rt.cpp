@@ -337,10 +337,10 @@ void CholeskyGraph::build() {
             if (ft_.integrity_checks) record_tile_crc(k, k);
             return true;
           }
-          // Stage 2: the solve.cpp jitter ladder at tile granularity —
-          // restore the snapshot and add a diagonal shift that grows x10
-          // per rung, scaled to the tile's diagonal magnitude.
-          if (st->jitters >= ft_.max_jitter_tries) return false;
+          // Stage 2: a jitter ladder on this tile — restore the snapshot
+          // and add a diagonal shift that grows x10 per rung, scaled to the
+          // tile's diagonal magnitude.
+          if (st->jitters >= kTileJitterRungs) return false;
           double diag_scale = 0.0;
           for (index_t r = 0; r < n; ++r) {
             diag_scale = std::max(

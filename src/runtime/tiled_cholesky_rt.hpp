@@ -38,19 +38,25 @@
 
 namespace exaclim::runtime {
 
+/// Jitter-ladder lengths, x10 per rung: the per-tile POTRF recovery
+/// (FaultToleranceOptions::enabled) and the training factor step's retry of
+/// the whole factorization (core::train_variables), which runs after it.
+inline constexpr int kTileJitterRungs = 6;
+inline constexpr int kFactorJitterRungs = 12;
+
 /// Fault-tolerance knobs for the tiled factorization. All off by default:
 /// the library behaves exactly as before unless a caller opts in.
 struct FaultToleranceOptions {
   /// Task-level recovery: a diagonal POTRF that throws NumericalError
   /// retries with precision escalation (f16 -> f32 -> f64) and then a
-  /// bounded diagonal-jitter ladder (the solve.cpp policy at tile
-  /// granularity) before a structured TaskFailure propagates.
+  /// diagonal-jitter ladder of kTileJitterRungs rungs on that tile before a
+  /// structured TaskFailure propagates (to the training ladder, when
+  /// core::train_variables is factoring).
   bool enabled = false;
   /// CRC32C tile-payload guards: each task verifies the tiles it reads and
   /// re-records the tile it writes, plus a whole-matrix sweep before and
   /// after the run, so silent bit corruption becomes a structured failure.
   bool integrity_checks = false;
-  int max_jitter_tries = 6;    ///< jitter ladder length (x10 per rung)
   double jitter_base = 1e-10;  ///< first rung, relative to the diagonal scale
   /// Checkpoint/restart: when `checkpoint_path` is set the run snapshots the
   /// completed-task frontier plus tile payloads every `checkpoint_every`

@@ -235,54 +235,39 @@ PreparedCovariance prepare_covariance(const linalg::Matrix& samples,
        << ") — input contains NaN/Inf or overflowed; validate the dataset";
     throw NumericalError(os.str());
   }
-  struct DiagStats {
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-    index_t min_at = -1;
+  struct DiagMin {
+    double value = std::numeric_limits<double>::infinity();
+    index_t at = -1;
   };
-  const DiagStats diag = common::parallel_reduce(
-      0, out.u.rows(), DiagStats{},
-      [&](DiagStats& acc, index_t i) {
-        const double v = out.u(i, i);
-        if (v < acc.min) {
-          acc.min = v;
-          acc.min_at = i;
-        }
-        if (v > acc.max) acc.max = v;
+  const DiagMin diag = common::parallel_reduce(
+      0, out.u.rows(), DiagMin{},
+      [&](DiagMin& acc, index_t i) {
+        if (out.u(i, i) < acc.value) acc = DiagMin{out.u(i, i), i};
       },
-      [](DiagStats& into, DiagStats&& from) {
-        if (from.min < into.min) {
-          into.min = from.min;
-          into.min_at = from.min_at;
-        }
-        if (from.max > into.max) into.max = from.max;
+      [](DiagMin& into, DiagMin&& from) {
+        if (from.value < into.value) into = from;
       },
       team);
-  if (out.u.rows() > 0 && diag.min <= 0.0) {
+  if (out.u.rows() > 0 && diag.value <= 0.0) {
     std::ostringstream os;
-    os << "empirical covariance diagonal is non-positive: u(" << diag.min_at
-       << ", " << diag.min_at << ") = " << diag.min
+    os << "empirical covariance diagonal is non-positive: u(" << diag.at
+       << ", " << diag.at << ") = " << diag.value
        << " — a variance cannot be <= 0; check for constant or quarantined-"
           "to-death input fields";
     throw NumericalError(os.str());
   }
-  out.diag_condition =
-      out.u.rows() > 0 && diag.min > 0.0
-          ? diag.max / diag.min
-          : std::numeric_limits<double>::infinity();
 
   // Scale the jitter to the average diagonal so it is "minor" in the paper's
   // sense regardless of the data's units.
   double mean_diag = 0.0;
   for (index_t i = 0; i < out.u.rows(); ++i) mean_diag += out.u(i, i);
   mean_diag /= static_cast<double>(out.u.rows() > 0 ? out.u.rows() : 1);
-  const double base = jitter_base * (mean_diag > 0.0 ? mean_diag : 1.0);
+  out.jitter_unit = jitter_base * (mean_diag > 0.0 ? mean_diag : 1.0);
   if (out.was_deficient) {
     // Rank-deficient by construction: jitter unconditionally.
-    linalg::add_diagonal_jitter(out.u, base);
-    out.jitter = base;
+    linalg::add_diagonal_jitter(out.u, out.jitter_unit);
+    out.jitter = out.jitter_unit;
   }
-  out.jitter += linalg::ensure_positive_definite(out.u, base);
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Empirical covariance of VAR innovations (Eq. 9) and PD repair.
+// Empirical covariance of VAR innovations (Eq. 9) and its deficiency jitter.
 //
 // empirical_covariance_parallel packs the samples into 8-column panels and
 // computes the output's lower triangle in 8 x 16 register blocks. Its
@@ -36,14 +36,15 @@ struct PreparedCovariance {
   linalg::Matrix u;        ///< (possibly jittered) covariance
   double jitter = 0.0;     ///< diagonal perturbation applied
   bool was_deficient = false;  ///< true iff N < d (paper's R(T-P) < L^2 case)
-  /// max(diag) / min(diag) of the raw empirical covariance — a cheap
-  /// condition proxy recorded before any jitter; +inf when min(diag) <= 0.
-  double diag_condition = 0.0;
+  /// jitter_base x the mean of the raw diagonal: the deficiency jitter, and
+  /// the first rung of the training factor step's jitter ladder.
+  double jitter_unit = 0.0;
 };
 
-/// Builds U-hat and, when the sample count is below the dimension (or the
-/// matrix is otherwise numerically indefinite), applies the paper's "minor
-/// perturbation along the diagonal".
+/// Builds U-hat and, when the sample count is below the dimension, applies
+/// the paper's "minor perturbation along the diagonal" (jitter_unit). It
+/// does not prove the result definite: the tiled factorization does, and
+/// core::train_variables climbs a jitter ladder when it fails.
 ///
 /// Pre-checks run before any tile is built from the result: a non-finite
 /// entry or a non-positive diagonal in the raw empirical covariance throws

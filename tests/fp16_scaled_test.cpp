@@ -5,7 +5,9 @@
 // dwarf the binary16 range.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -41,6 +43,30 @@ TEST(HalfBoundary, MaxFiniteAndOverflowThreshold) {
   EXPECT_TRUE(std::isinf(static_cast<float>(half(65520.0))));
   EXPECT_TRUE(std::isinf(static_cast<float>(half(-65520.0))));
   EXPECT_LT(static_cast<float>(half(-65520.0)), 0.0f);
+}
+
+TEST(HalfBoundary, NanEncodingIsF16cs) {
+  // Sign, quiet bit, then the top payload bits, in both directions, as
+  // vcvtps2ph / vcvtph2ps write them; the scaled conversions' vector bodies
+  // and software tails then agree on a NaN at any index.
+  EXPECT_EQ(common::float_to_half_bits(std::bit_cast<float>(0x7FA00000u)),
+            0x7F00u);
+  EXPECT_EQ(common::float_to_half_bits(std::bit_cast<float>(0x7F800001u)),
+            0x7E00u);
+  EXPECT_EQ(common::float_to_half_bits(std::bit_cast<float>(0xFFC12345u)),
+            0xFE09u);
+  EXPECT_EQ(common::double_to_half_bits(std::bit_cast<double>(
+                0x7FF4000000000000ull)),
+            0x7F00u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(common::half_bits_to_float(0x7C01u)),
+            0x7FC02000u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(common::half_bits_to_float(0xFE09u)),
+            0xFFC12000u);
+  // Infinities keep their encodings.
+  EXPECT_EQ(common::float_to_half_bits(std::bit_cast<float>(0xFF800000u)),
+            0xFC00u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(common::half_bits_to_float(0x7C00u)),
+            0x7F800000u);
 }
 
 TEST(HalfBoundary, SubnormalsFromDouble) {
@@ -165,11 +191,16 @@ std::vector<std::vector<double>> narrowing_families() {
   }
   fam.push_back(ties);
   // Normals of mixed magnitude with +-0, double subnormals and NaN lanes
-  // (quiet, negative, signaling) scattered through the vector bodies.
+  // (quiet, negative, signaling, and signaling with payloads whose f32 forms
+  // are 0x7FA00000 and 0xFF800001) scattered through the vector bodies.
   std::vector<double> mixed(1000);
   for (auto& v : mixed) v = rng.normal() * std::pow(10.0, rng.uniform(-3, 6));
+  const double payload_nan = std::bit_cast<double>(0x7FF4000000000000ull);
+  const double low_payload_nan = std::bit_cast<double>(0xFFF0000020000000ull);
   for (std::size_t i = 3; i < mixed.size(); i += 37) {
-    const double special[] = {0.0, -0.0, nan, -nan, snan, dmin, -4 * dmin};
+    const double special[] = {0.0,  -0.0,        nan,
+                              -nan, snan,        payload_nan,
+                              dmin, -4 * dmin,   low_payload_nan};
     mixed[i] = special[(i / 37) % std::size(special)];
   }
   fam.push_back(mixed);
@@ -192,15 +223,20 @@ std::vector<std::vector<double>> narrowing_families() {
   return fam;
 }
 
-/// The f32 form of a family. Signaling or payload-carrying NaNs become the
-/// default quiet NaN of their sign (see convert_f32_to_f16_scaled_ref).
+/// The f32 form of a family. A NaN keeps its sign, its quiet bit and the top
+/// 23 bits of its payload, so a signaling lane stays signaling (a cast
+/// would quiet it).
 std::vector<float> to_float(const std::vector<double>& v) {
   std::vector<float> out(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = std::isnan(v[i])
-                 ? std::copysign(std::numeric_limits<float>::quiet_NaN(),
-                                 static_cast<float>(v[i]))
-                 : static_cast<float>(v[i]);
+    if (!std::isnan(v[i])) {
+      out[i] = static_cast<float>(v[i]);
+      continue;
+    }
+    const auto bits = std::bit_cast<std::uint64_t>(v[i]);
+    out[i] = std::bit_cast<float>(
+        static_cast<std::uint32_t>((bits >> 32) & 0x80000000u) | 0x7F800000u |
+        static_cast<std::uint32_t>((bits >> 29) & 0x007FFFFFu));
   }
   return out;
 }
@@ -256,7 +292,8 @@ TEST(Fp16Scaled, ScaledConversionsMatchScalarBytes) {
       EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(double)),
                 0)
           << "scale " << scale << " first " << first;
-      if (scale == 1.0f) continue;  // a plain widen; nothing is multiplied
+      // At scale 1 this is a plain widen; multiplying the quiet widening by
+      // 1 leaves its bytes alone.
       std::vector<float> gotf(count), wantf(count);
       convert_f16_scaled_to_f32(all.data() + first, scale, gotf.data(), n);
       for (std::size_t i = 0; i < count; ++i) {

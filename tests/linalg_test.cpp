@@ -423,20 +423,19 @@ TEST(Solve, SampleMvnHasTargetCovariance) {
   EXPECT_NEAR(s11 / n, 9.0, 0.2);
 }
 
-TEST(Solve, JitterAndPdCheck) {
-  Matrix a(3, 3);
-  a(0, 0) = a(1, 1) = a(2, 2) = 1.0;
-  EXPECT_TRUE(is_positive_definite(a));
-  a(0, 1) = a(1, 0) = 2.0;  // breaks PD
-  EXPECT_FALSE(is_positive_definite(a));
-  const double jitter = ensure_positive_definite(a, 1e-8);
-  EXPECT_GT(jitter, 0.0);
-  EXPECT_TRUE(is_positive_definite(a));
-}
-
-TEST(Solve, EnsurePdIsNoopOnPdMatrix) {
-  Matrix a = decaying_spd(10);
-  EXPECT_EQ(ensure_positive_definite(a), 0.0);
+TEST(Solve, DiagonalJitterShiftsOnlyTheDiagonal) {
+  // One addition per diagonal entry, nothing else touched: the deficiency
+  // jitter and the training ladder's rungs both rely on it.
+  const Matrix a = decaying_spd(10);
+  Matrix b = a;
+  add_diagonal_jitter(b, 1e-8);
+  for (index_t i = 0; i < 10; ++i) {
+    for (index_t j = 0; j < 10; ++j) {
+      EXPECT_EQ(b(i, j), i == j ? a(i, j) + 1e-8 : a(i, j)) << i << "," << j;
+    }
+  }
+  Matrix wide(2, 3);
+  EXPECT_THROW(add_diagonal_jitter(wide, 1.0), InvalidArgument);
 }
 
 }  // namespace

@@ -7,10 +7,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "runtime/tiled_cholesky_rt.hpp"
 #include "stats/ar.hpp"
 #include "stats/covariance.hpp"
 #include "stats/diagnostics.hpp"
-#include "linalg/solve.hpp"
 #include "stats/ols.hpp"
 #include "stats/trend.hpp"
 
@@ -313,7 +313,11 @@ TEST(Covariance, DeficientSampleGetsJitter) {
   const PreparedCovariance prep = prepare_covariance(samples);
   EXPECT_TRUE(prep.was_deficient);
   EXPECT_GT(prep.jitter, 0.0);
-  EXPECT_TRUE(linalg::is_positive_definite(prep.u));
+  EXPECT_EQ(prep.jitter, prep.jitter_unit);
+  // The jittered rank-3 matrix factors through the library's one Cholesky.
+  auto tiled = linalg::TiledSymmetricMatrix::from_dense(
+      prep.u, 4, linalg::make_band_policy(2, linalg::PrecisionVariant::DP));
+  EXPECT_NO_THROW(runtime::cholesky_tiled_parallel(tiled));
 }
 
 TEST(Covariance, FullRankSampleNeedsNoJitter) {
