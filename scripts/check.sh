@@ -10,12 +10,15 @@
 # over src/ when the binary is on PATH — containers without it get a warning
 # and the grep-based invariants still run, so the stage never silently skips
 # the cheap checks. The kernels stage re-runs the blocked-vs-reference parity
-# suites plus the DAG-verifier suite under the relassert preset (-O2 with
-# assertions and -Wshadow -Wconversion on runtime/ and analysis/), a
-# different optimization level than tier 1 — explicit-vector kernels are the
-# code most likely to diverge when the compiler changes its mind. The
-# portable stage builds without -march=native, so the loop micro-kernel and
-# the scalar conversion paths the native build never runs are tested too.
+# suites, the DAG-verifier suite and the determinism suite under the
+# relassert preset (-O2 with assertions and -Wshadow -Wconversion on
+# runtime/ and analysis/), a different optimization level than tier 1 —
+# explicit-vector kernels, and loops whose rounding the vectorizer picks
+# (the emulation oracle test), are the code most likely to diverge when the
+# compiler changes its mind. The portable stage builds without
+# -march=native, so the loop micro-kernel, the scalar conversion paths and
+# the FMA-free multiply-add loops the native build never runs are tested
+# too, parity and determinism suites alike.
 # The asan preset races the fault/recovery and verifier paths for lifetime
 # bugs; the tsan preset hunts data races in the work-stealing runtime and
 # additionally runs its sweep with EXACLIM_VERIFY=dynamic, so the shadow
@@ -49,6 +52,10 @@ run() { echo "+ $*" >&2; "$@"; }
 #     and the dense sample_mvn has no caller in src/ outside linalg/solve.*
 #     (it is the reference tests compare against) — one sampling engine for
 #     serving and emulation;
+#   * that engine's entry point (sample_panel) appears in src/ only in
+#     core/emulator.cpp, serve/sampler.cpp and runtime/sampling_dag.*, and
+#     the member-by-member emulation oracle (emulate_variables_ref) only in
+#     core/emulator.* — tests compare against it, the pipeline never runs it;
 #   * the training stages (fit_trend, fit_trends, fit_ar_ensemble,
 #     prepare_covariance, validate_dataset) are called in src/ only from
 #     core/emulator.cpp, apart from their own stats/ and climate/validate.*
@@ -152,6 +159,23 @@ lint() {
     fail=1
   fi
 
+  hits="$(grep -rnE '\bsample_panel\(' src \
+          | grep -vE '^src/(core/emulator\.cpp|serve/sampler\.cpp|runtime/sampling_dag\.(hpp|cpp)):' \
+          || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: sample_panel called outside core/emulator.cpp and serve/sampler.cpp:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bemulate_variables_ref\(' src \
+          | grep -vE '^src/core/emulator\.(hpp|cpp):' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: emulate_variables_ref (the emulation oracle) used outside core/emulator.*:" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
   hits="$(grep -rnE '\bsample_mvn\(' src \
           | grep -vE '^src/linalg/solve\.(hpp|cpp):' || true)"
   if [[ -n "$hits" ]]; then
@@ -247,18 +271,20 @@ fi
 
 lint
 
-# --- kernel parity + DAG verifier at a second optimization level --------------
+# --- kernel parity, DAG verifier, determinism at a second optimization level --
 run cmake --preset relassert
 run cmake --build --preset relassert -j
-run ctest --test-dir build-relassert --output-on-failure -L 'kernels|analysis'
+run ctest --test-dir build-relassert --output-on-failure \
+    -L 'kernels|analysis|determinism'
 
 # --- portable build: the loop micro-kernel and the scalar tails --------------
-# Without -march=native there is no AVX-512 or F16C: the blocked engine runs
-# its loop micro-kernel and every conversion its scalar path, the fallbacks
-# the native sweeps never build.
+# Without -march=native there is no AVX-512, F16C or FMA: the blocked engine
+# runs its loop micro-kernel and every conversion its scalar path, and the
+# emulation's VAR and synthesis loops compile to a separate multiply and add
+# — the fallbacks the native sweeps never build.
 run cmake --preset portable
 run cmake --build --preset portable -j
-run ctest --test-dir build-portable --output-on-failure -L kernels
+run ctest --test-dir build-portable --output-on-failure -L 'kernels|determinism'
 
 # --- sanitizer sweeps over the guarded subsystems ----------------------------
 for preset in asan tsan; do

@@ -35,9 +35,13 @@ inline unsigned default_thread_count() {
 /// dynamic chunked scheduling. Exceptions from the body propagate to the
 /// caller (first one wins). With threads <= 1 the loop runs inline. The
 /// effective parallelism is capped by the pool size (hardware concurrency).
+/// `grain` > 0 fixes how many consecutive indices a worker claims at a time
+/// (1 hands out items one by one in index order, for ranges that put their
+/// largest items first); 0 picks it from the range and worker count.
 template <typename F>
 void parallel_for(index_t begin, index_t end, F&& body,
-                  unsigned threads = default_thread_count()) {
+                  unsigned threads = default_thread_count(),
+                  index_t grain = 0) {
   const index_t n = end - begin;
   if (n <= 0) return;
   if (threads <= 1 || n == 1 || WorkerTeam::in_parallel_region()) {
@@ -48,7 +52,8 @@ void parallel_for(index_t begin, index_t end, F&& body,
       static_cast<unsigned>(std::min<index_t>(threads, n));
   // Chunked dynamic scheduling: keep chunks big enough to amortize the
   // atomic fetch, small enough to balance uneven iterations.
-  const index_t chunk = std::max<index_t>(1, n / (workers * 8));
+  const index_t chunk =
+      grain > 0 ? grain : std::max<index_t>(1, n / (workers * 8));
 
   using Body = std::remove_reference_t<F>;
   struct Ctx {

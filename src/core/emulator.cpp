@@ -1,6 +1,7 @@
 #include "core/emulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
@@ -274,6 +275,193 @@ TrainedVariables train_variables(
 }
 
 std::vector<climate::ClimateDataset> emulate_variables(
+    const EmulatorConfig& config, const sht::SHTPlan& plan,
+    std::span<const std::vector<stats::TrendModel>> trend,
+    std::span<const std::vector<double>> nugget_var,
+    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    index_t num_steps, index_t num_ensembles,
+    std::span<const double> annual_forcing, std::uint64_t seed) {
+  EXACLIM_CHECK(num_steps >= 1 && num_ensembles >= 1,
+                "need at least one step and one ensemble");
+  const index_t tau = config.steps_per_year;
+  EXACLIM_CHECK(static_cast<index_t>(annual_forcing.size()) >=
+                    (num_steps + tau - 1) / tau,
+                "forcing trajectory shorter than requested emulation");
+  const index_t L = config.band_limit;
+  const index_t n_coeff = sh_coeff_count(L);
+  const auto num_vars = static_cast<index_t>(trend.size());
+  const index_t n = factor.rows();
+  const index_t num_points = plan.grid().num_points();
+  const index_t P = config.ar_order;
+  const index_t burn = config.emulation_burn_in + P;
+  const index_t total = burn + num_steps;
+  const unsigned threads =
+      config.threads == 0 ? common::default_thread_count() : config.threads;
+
+  // Per variable: the output, the trend series m_t shared across members
+  // ([t * points + p]) and the nugget standard deviation v per point.
+  std::vector<climate::ClimateDataset> out;
+  std::vector<std::vector<double>> trend_series;
+  std::vector<std::vector<double>> nugget_sd;
+  for (index_t v = 0; v < num_vars; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    out.emplace_back(plan.grid(), num_steps, num_ensembles, tau);
+    trend_series.push_back(stats::trend_series_all(trend[vi], num_steps,
+                                                   annual_forcing, threads));
+    auto& sd = nugget_sd.emplace_back(nugget_var[vi]);
+    for (double& x : sd) x = std::sqrt(x);
+  }
+
+  const std::vector<double> packed = linalg::pack_lower(factor);
+  const linalg::PackedFactorView view{
+      reinterpret_cast<const unsigned char*>(packed.data()),
+      packed.size() * sizeof(double), n, linalg::PackedStorage::F64};
+  runtime::SamplingDagOptions dag_options;
+  dag_options.tile = config.tile_size;
+  // One participant: a panel's fill, DAG build, verification and execute
+  // all run inline on the worker that took it.
+  runtime::SchedulerOptions sched = sampling_options(config);
+  sched.threads = 1;
+  const common::Rng master(seed);
+
+  // Members run in groups of G = ceil(threads / panels), enough panels for
+  // every participant, and two groups are in flight: one region draws the
+  // panels of group k + 1 and synthesizes the steps of group k, and a second
+  // runs the VAR of group k + 1. A member's steps split into panels of equal
+  // width (at most 64). The in-flight memory is the VAR state of 2G members,
+  // total x n doubles each: member r's rows start at state_row(r), and row
+  // state_row(r) + s holds step s - burn, so rows s < burn are burn-in.
+  const index_t panels = (total + runtime::BatchControl::kMaxBatch - 1) /
+                         runtime::BatchControl::kMaxBatch;
+  const index_t group = std::min<index_t>(
+      num_ensembles, (static_cast<index_t>(threads) + panels - 1) / panels);
+  const index_t num_groups = (num_ensembles + group - 1) / group;
+  auto group_size = [&](index_t k) {
+    return std::min(group, num_ensembles - k * group);
+  };
+  // Every value is drawn before it is read, so the state starts untouched
+  // and its pages are first written by the workers that draw into them.
+  climate::ClimateDataset::Storage state_values(static_cast<std::size_t>(
+      std::min<index_t>(2, num_groups) * group * total * n));
+  double* const state_data = state_values.data();
+  auto state = [state_data, n](index_t row, index_t c) -> double& {
+    return state_data[row * n + c];
+  };
+  auto state_row = [&](index_t r) {
+    return (r / group % 2 * group + r % group) * total;
+  };
+
+  // Innovations do not depend on the VAR state: panel p of member r is one
+  // item, one stream per (member, step).
+  auto draw = [&](index_t r, index_t p) {
+    const index_t s0 = p * (total / panels) + std::min(p, total % panels);
+    const index_t width = total / panels + (p < total % panels ? 1 : 0);
+    std::array<std::uint64_t, runtime::BatchControl::kMaxBatch> stream_ids{};
+    for (index_t j = 0; j < width; ++j) {
+      stream_ids[static_cast<std::size_t>(j)] = runtime::emulation_stream_id(
+          runtime::EmulationStream::Innovation, r, s0 + j);
+    }
+    thread_local runtime::SamplePanel panel;
+    runtime::sample_panel(
+        view, seed,
+        std::span<const std::uint64_t>(stream_ids.data(),
+                                       static_cast<std::size_t>(width)),
+        panel, nullptr, dag_options, sched);
+    const index_t row0 = state_row(r) + s0;
+    for (index_t c = 0; c < n; ++c) {
+      for (index_t j = 0; j < width; ++j) {
+        state(row0 + j, c) = panel.x[static_cast<std::size_t>(c * width + j)];
+      }
+    }
+  };
+
+  // The VAR forward pass of group k in place over its innovations, per
+  // (member, block of coefficients). The per-coefficient loop keeps the
+  // source whose object code fixes each term's rounding (docs/PERF.md,
+  // "Emulation"). The rows were written by other workers; fetching the
+  // block of row s + 4 ahead hides their latency.
+  constexpr index_t kVarBlock = 64;
+  const index_t var_blocks = (n + kVarBlock - 1) / kVarBlock;
+  auto run_var = [&](index_t k) {
+    common::parallel_for(
+        0, group_size(k) * var_blocks,
+        [&](index_t item) {
+          const index_t row0 = state_row(k * group + item / var_blocks);
+          const index_t c0 = item % var_blocks * kVarBlock;
+          const index_t c1 = std::min(n, c0 + kVarBlock);
+          for (index_t s = 0; s < total; ++s) {
+            if (s + 4 < total) {
+              for (index_t c = c0; c < c1; c += 8) {
+                __builtin_prefetch(&state(row0 + s + 4, c), 1);
+              }
+            }
+            for (index_t c = c0; c < c1; ++c) {
+              const auto& phi = ar[static_cast<std::size_t>(c)].phi;
+              double value = state(row0 + s, c);
+              for (index_t a = 0; a < std::min(P, s); ++a) {
+                value += phi[static_cast<std::size_t>(a)] *
+                         state(row0 + s - 1 - a, c);
+              }
+              state(row0 + s, c) = value;
+            }
+          }
+        },
+        threads);
+  };
+
+  // Step t of member r: synthesis into the output, with the nugget draw, the
+  // sigma scaling and the trend add fused into one pass over it.
+  auto synthesize = [&](index_t r, index_t t) {
+    // One nugget stream per (member, step), drawn variable by variable.
+    common::Rng nug = master.split(
+        runtime::emulation_stream_id(runtime::EmulationStream::Nugget, r, t));
+    const double* row = &state(state_row(r) + burn + t, 0);
+    thread_local std::vector<cplx> coeffs;
+    coeffs.resize(static_cast<std::size_t>(sht::tri_count(L)));
+    for (index_t v = 0; v < num_vars; ++v) {
+      const auto vi = static_cast<std::size_t>(v);
+      sht::unpack_real(L,
+                       {row + v * n_coeff, static_cast<std::size_t>(n_coeff)},
+                       coeffs);
+      const auto dst = out[vi].field(r, t);
+      plan.synthesize(coeffs, dst);
+      const auto& var_trend = trend[vi];
+      const double* sd = nugget_sd[vi].data();
+      const double* m_t = trend_series[vi].data() + t * num_points;
+      for (index_t p = 0; p < num_points; ++p) {
+        const auto q = static_cast<std::size_t>(p);
+        const double z = dst[q] + sd[q] * nug.normal();
+        dst[q] = m_t[p] + var_trend[q].sigma * z;
+      }
+    }
+  };
+
+  common::parallel_for(
+      0, group_size(0) * panels,
+      [&](index_t item) { draw(item / panels, item % panels); }, threads);
+  run_var(0);
+  for (index_t k = 0; k < num_groups; ++k) {
+    // Items go out one at a time, the draws (the largest) first, so the
+    // steps fill in around them.
+    const index_t draws = k + 1 < num_groups ? group_size(k + 1) * panels : 0;
+    common::parallel_for(
+        0, draws + group_size(k) * num_steps,
+        [&](index_t item) {
+          if (item < draws) {
+            draw((k + 1) * group + item / panels, item % panels);
+          } else {
+            synthesize(k * group + (item - draws) / num_steps,
+                       (item - draws) % num_steps);
+          }
+        },
+        threads, 1);
+    if (k + 1 < num_groups) run_var(k + 1);
+  }
+  return out;
+}
+
+// emulate_variables as it was before member groups, kept as its byte oracle.
+std::vector<climate::ClimateDataset> emulate_variables_ref(
     const EmulatorConfig& config, const sht::SHTPlan& plan,
     std::span<const std::vector<stats::TrendModel>> trend,
     std::span<const std::vector<double>> nugget_var,

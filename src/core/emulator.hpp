@@ -16,7 +16,15 @@
 // Emulation (Section III-B; emulate_variables, shared with the multivariate
 // emulator): xi ~ N(0, U) drawn through V in panels of up to 64 steps by the
 // serving engine (runtime::sample_panel), one stream per (member, step); VAR
-// forward pass, inverse SHT, add epsilon, scale by sigma, add m_t.
+// forward pass, inverse SHT, add epsilon, scale by sigma, add m_t. Every
+// phase runs on the whole team through common::parallel_for items: each
+// (member, panel) draw is a one-participant sample_panel inline on its
+// worker; the VAR runs per (member, block of coefficients); the synthesis
+// runs per (member, step) straight into the first-touched output with no
+// per-step heap vector. Members go in groups with two in flight, so one
+// region draws the next group's panels while it synthesizes this group's
+// steps. emulate_variables_ref is the member-by-member form it replaced,
+// kept as the byte oracle (EmulateDeterminism.MatchesParentOracleBytes).
 //
 // All per-point / per-slot / per-coefficient stages run through
 // common::parallel_for; the Cholesky and the innovation panels run on the
@@ -136,6 +144,16 @@ TrainedVariables train_variables(
 /// (result[v] is variable v); `ar` and `factor` span the joint, variable-major
 /// V * L^2 state. Byte-identical at any config.threads or config.tile_size.
 std::vector<climate::ClimateDataset> emulate_variables(
+    const EmulatorConfig& config, const sht::SHTPlan& plan,
+    std::span<const std::vector<stats::TrendModel>> trend,
+    std::span<const std::vector<double>> nugget_var,
+    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    index_t num_steps, index_t num_ensembles,
+    std::span<const double> annual_forcing, std::uint64_t seed);
+
+/// The member-by-member emulation emulate_variables replaced: the oracle its
+/// bytes are compared with (memcmp in determinism_test). Not for pipelines.
+std::vector<climate::ClimateDataset> emulate_variables_ref(
     const EmulatorConfig& config, const sht::SHTPlan& plan,
     std::span<const std::vector<stats::TrendModel>> trend,
     std::span<const std::vector<double>> nugget_var,

@@ -140,6 +140,7 @@ double cholesky_residual(const Matrix& a, const Matrix& l) {
 std::vector<double> pack_lower(const Matrix& a) {
   EXACLIM_CHECK(a.rows() == a.cols(), "matrix must be square");
   std::vector<double> packed;
+  packed.reserve(static_cast<std::size_t>(a.rows() * (a.rows() + 1) / 2));
   for (index_t i = 0; i < a.rows(); ++i) {
     packed.insert(packed.end(), a.row(i).begin(), a.row(i).begin() + i + 1);
   }

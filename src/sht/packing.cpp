@@ -30,10 +30,18 @@ std::vector<double> pack_real(index_t band_limit,
 
 std::vector<cplx> unpack_real(index_t band_limit,
                               const std::vector<double>& packed) {
+  std::vector<cplx> coeffs(static_cast<std::size_t>(tri_count(band_limit)));
+  unpack_real(band_limit, packed, coeffs);
+  return coeffs;
+}
+
+void unpack_real(index_t band_limit, std::span<const double> packed,
+                 std::span<cplx> coeffs) {
   EXACLIM_CHECK(
       static_cast<index_t>(packed.size()) == band_limit * band_limit,
       "packed length must be band_limit^2");
-  std::vector<cplx> coeffs(static_cast<std::size_t>(tri_count(band_limit)));
+  EXACLIM_CHECK(static_cast<index_t>(coeffs.size()) == tri_count(band_limit),
+                "coefficient count must be band_limit*(band_limit+1)/2");
   for (index_t l = 0; l < band_limit; ++l) {
     index_t in = packed_degree_offset(l);
     coeffs[static_cast<std::size_t>(tri_index(l, 0))] =
@@ -44,7 +52,6 @@ std::vector<cplx> unpack_real(index_t band_limit,
       coeffs[static_cast<std::size_t>(tri_index(l, m))] = cplx{re, im};
     }
   }
-  return coeffs;
 }
 
 index_t packed_index_degree(index_t packed_index) {

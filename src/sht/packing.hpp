@@ -11,6 +11,7 @@
 // covariance modelling of the field.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -25,6 +26,11 @@ std::vector<double> pack_real(index_t band_limit, const std::vector<cplx>& coeff
 
 /// Inverse of pack_real.
 std::vector<cplx> unpack_real(index_t band_limit, const std::vector<double>& packed);
+
+/// unpack_real into caller storage of band_limit (band_limit + 1) / 2
+/// coefficients (no allocation).
+void unpack_real(index_t band_limit, std::span<const double> packed,
+                 std::span<cplx> coeffs);
 
 /// Offset of degree l's block inside the packed real vector: sum over
 /// l' < l of (2l'+1) = l^2.

@@ -215,12 +215,20 @@ std::vector<cplx> SHTPlan::analyze(std::span<const double> field) const {
 }
 
 std::vector<double> SHTPlan::synthesize(std::span<const cplx> coeffs) const {
+  std::vector<double> field(static_cast<std::size_t>(grid_.num_points()));
+  synthesize(coeffs, field);
+  return field;
+}
+
+void SHTPlan::synthesize(std::span<const cplx> coeffs,
+                         std::span<double> field) const {
   EXACLIM_CHECK(static_cast<index_t>(coeffs.size()) == tri_count(band_limit_),
                 "coefficient count must match band limit");
+  EXACLIM_CHECK(static_cast<index_t>(field.size()) == grid_.num_points(),
+                "field size must be nlat*nlon");
   const index_t L = band_limit_;
   const index_t nlat = grid_.nlat;
   const index_t nlon = grid_.nlon;
-  std::vector<double> field(static_cast<std::size_t>(grid_.num_points()));
 
   // Rings are independent: each worker reuses persistent FFT/accumulator
   // scratch across rings and across synthesize calls.
@@ -254,7 +262,6 @@ std::vector<double> SHTPlan::synthesize(std::span<const cplx> coeffs) const {
           bins[static_cast<std::size_t>(j)].real() * static_cast<double>(nlon);
     }
   });
-  return field;
 }
 
 std::vector<double> SHTPlan::power_spectrum(std::span<const cplx> coeffs) const {

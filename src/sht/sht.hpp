@@ -70,6 +70,10 @@ class SHTPlan {
   /// Synthesis of a real row-major field from packed complex coefficients.
   std::vector<double> synthesize(std::span<const cplx> coeffs) const;
 
+  /// The same synthesis into caller storage of nlat * nlon values: the one
+  /// routine behind every synthesis, allocation-free per call.
+  void synthesize(std::span<const cplx> coeffs, std::span<double> field) const;
+
   /// Power spectrum C_l = (1/(2l+1)) sum_m |z_{l,m}|^2 (over all m, using the
   /// real-field symmetry for m < 0).
   std::vector<double> power_spectrum(std::span<const cplx> coeffs) const;

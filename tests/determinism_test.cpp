@@ -6,7 +6,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "climate/synthetic_esm.hpp"
@@ -217,7 +220,7 @@ TEST(EmulateDeterminism, MultivariateBytesIdenticalAcrossThreadsAndTiles) {
       core::MultiVariateEmulator joint(cfg);
       joint.train({&data.primary, &data.secondary}, data.forcing);
       const auto emu = joint.emulate(100, 2, data.forcing, 11);
-      std::vector<double> bytes = emu[0].raw();
+      std::vector<double> bytes(emu[0].raw().begin(), emu[0].raw().end());
       bytes.insert(bytes.end(), emu[1].raw().begin(), emu[1].raw().end());
       runs.push_back(std::move(bytes));
 
@@ -230,6 +233,92 @@ TEST(EmulateDeterminism, MultivariateBytesIdenticalAcrossThreadsAndTiles) {
           << "threads=" << threads << " tile=" << tile;
     }
     EXPECT_TRUE(runs[0] == runs[1]) << "tile=" << tile;
+  }
+}
+
+TEST(EmulateDeterminism, MatchesParentOracleBytes) {
+  // emulate_variables (member groups, one-participant panels, the VAR per
+  // coefficient block, synthesis per (member, step)) against
+  // emulate_variables_ref, the member-by-member loop it replaced, by memcmp.
+  // P = 3 puts the burn-in at 67 steps, so 1, 61 and 200 steps draw 68, 128
+  // and 267 innovations per member: two panels of 34, two full panels of 64
+  // and five of 53 or 54 (the reference's last panels hold 4, 64 and 11);
+  // P = 3 also runs the VAR's terms both as mul + add pairs and as FMAs.
+  // V = 1 emulates models
+  // saved and loaded at each factor storage; V = 2 the joint state that
+  // train_variables hands MultiVariateEmulator, which has no saved form.
+  core::EmulatorConfig base = tiny_config();
+  base.ar_order = 3;
+  struct Inputs {
+    std::string name;
+    std::shared_ptr<const sht::SHTPlan> plan;
+    std::vector<std::vector<stats::TrendModel>> trend;
+    std::vector<std::vector<double>> nugget;
+    std::vector<stats::ArModel> ar;
+    linalg::Matrix factor;
+  };
+  std::vector<Inputs> inputs;
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::ClimateEmulator trained(base);
+  trained.train(esm.data, esm.forcing);
+  for (const auto& [storage, name] :
+       {std::pair{core::FactorStorage::FP64, "fp64"},
+        std::pair{core::FactorStorage::FP32, "fp32"},
+        std::pair{core::FactorStorage::FP16Scaled, "fp16"}}) {
+    TempFile file("determinism_oracle_model.bin");
+    core::save_emulator(trained, file.path, storage);
+    const core::ClimateEmulator loaded = core::load_emulator(file.path);
+    inputs.push_back({name,
+                      std::make_shared<const sht::SHTPlan>(base.band_limit,
+                                                           loaded.grid()),
+                      {loaded.trend_models()},
+                      {loaded.nugget_variance()},
+                      loaded.ar_models(),
+                      loaded.cholesky_factor()});
+  }
+  const auto bivariate = climate::generate_bivariate_esm(tiny_esm(), 0.6);
+  const climate::ClimateDataset* const variables[] = {&bivariate.primary,
+                                                      &bivariate.secondary};
+  core::TrainedVariables joint =
+      core::train_variables(base, variables, bivariate.forcing);
+  inputs.push_back({"joint V=2", joint.plan, std::move(joint.trend),
+                    std::move(joint.nugget_var), std::move(joint.ar),
+                    std::move(joint.factor)});
+
+  // 200 steps need five years of forcing; the data has four.
+  std::vector<double> forcing = esm.forcing;
+  while (forcing.size() < 5) forcing.push_back(forcing.back() + 0.05);
+  for (const Inputs& in : inputs) {
+    for (const unsigned threads : {1u, 4u}) {
+      for (const index_t tile : {16, 64}) {
+        core::EmulatorConfig cfg = base;
+        cfg.threads = threads;
+        cfg.tile_size = tile;
+        for (const index_t members : {1, 2, 3, 5}) {
+          for (const index_t steps : {1, 61, 200}) {
+            SCOPED_TRACE(in.name + " threads=" + std::to_string(threads) +
+                         " tile=" + std::to_string(tile) +
+                         " members=" + std::to_string(members) +
+                         " steps=" + std::to_string(steps));
+            const auto got = core::emulate_variables(
+                cfg, *in.plan, in.trend, in.nugget, in.ar, in.factor, steps,
+                members, forcing, 11);
+            const auto want = core::emulate_variables_ref(
+                cfg, *in.plan, in.trend, in.nugget, in.ar, in.factor, steps,
+                members, forcing, 11);
+            ASSERT_EQ(got.size(), in.trend.size());
+            ASSERT_EQ(want.size(), in.trend.size());
+            for (std::size_t v = 0; v < got.size(); ++v) {
+              ASSERT_EQ(got[v].raw().size(), want[v].raw().size());
+              EXPECT_EQ(std::memcmp(got[v].raw().data(), want[v].raw().data(),
+                                    got[v].raw().size() * sizeof(double)),
+                        0)
+                  << "variable " << v;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

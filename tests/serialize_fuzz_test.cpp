@@ -2,8 +2,9 @@
 // single-bit flip and every truncation of an EXACMDL4 model file or an
 // EXACKPT1 checkpoint must surface as a clean IoError — never a crash, a
 // silent success, or an unbounded allocation. Also pins the version-bump
-// contract (EXACMDL3-era files are rejected with an actionable message) and
-// the framed byte layout a gathered commit writes.
+// contract (EXACMDL3-era files are rejected with an actionable message),
+// the framed byte layout a gathered commit writes, and the EXACLIM1
+// dataset header's agreement with its file size.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "climate/dataset.hpp"
 #include "climate/synthetic_esm.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
@@ -335,6 +337,78 @@ TEST(CheckpointFuzz, ShapeMismatchNamesBothShapes) {
         << e.what();
   }
   std::filesystem::remove(p);
+}
+
+// An EXACLIM1 dataset file is 8 magic bytes, five int64 dimensions
+// (nlat, nlon, steps, members, steps per year) and the payload.
+std::vector<unsigned char> dataset_image(const std::vector<index_t>& header,
+                                         std::size_t payload_bytes) {
+  std::vector<unsigned char> bytes = {'E', 'X', 'A', 'C', 'L', 'I', 'M', '1'};
+  const auto* h = reinterpret_cast<const unsigned char*>(header.data());
+  bytes.insert(bytes.end(), h, h + header.size() * sizeof(index_t));
+  bytes.resize(bytes.size() + payload_bytes, 0x3f);
+  return bytes;
+}
+
+/// Loads `bytes` as a dataset; returns the IoError message, or "" if it
+/// loaded.
+std::string dataset_load_error(const std::vector<unsigned char>& bytes) {
+  const std::string p = ::testing::TempDir() + "/exaclim_fuzz_dataset.bin";
+  common::atomic_write_file(p, bytes.data(), bytes.size());
+  std::string error;
+  try {
+    (void)climate::ClimateDataset::load(p);
+  } catch (const IoError& e) {
+    error = e.what();
+  }
+  std::filesystem::remove(p);
+  return error;
+}
+
+TEST(DatasetFuzz, HeaderMustMatchFileSize) {
+  // nlat = nlon = 2^31, 4 steps, 1 member: R T nlat nlon doubles wrap a
+  // size_t to 0, which once loaded as an empty dataset whose field(0, 3)
+  // spanned 2^62 elements.
+  const index_t big = index_t{1} << 31;
+  const std::string wrapped = dataset_load_error(
+      dataset_image({big, big, 4, 1, 1}, 0));
+  EXPECT_NE(wrapped.find("implies more than"), std::string::npos) << wrapped;
+  EXPECT_THROW(climate::ClimateDataset(sht::GridShape{big, big}, 4, 1, 1),
+               InvalidArgument);
+
+  // A huge header on a short file is refused before anything is allocated.
+  const std::string huge = dataset_load_error(
+      dataset_image({100000, 200000, 10000, 8, 1}, 16));
+  EXPECT_NE(huge.find("implies 12800000000000000 payload bytes"),
+            std::string::npos)
+      << huge;
+  EXPECT_NE(huge.find("holds 16"), std::string::npos) << huge;
+
+  // Truncated, oversized and trailing-byte files name both sizes.
+  const std::size_t payload = 3 * 4 * 2 * 1 * sizeof(double);
+  for (const std::size_t held :
+       {std::size_t{0}, payload - 1, payload - 8, payload + 1, payload + 8}) {
+    const std::string error =
+        dataset_load_error(dataset_image({3, 4, 2, 1, 1}, held));
+    EXPECT_NE(error.find("implies " + std::to_string(payload) +
+                         " payload bytes but the file holds " +
+                         std::to_string(held)),
+              std::string::npos)
+        << error;
+  }
+
+  // The round trip still loads, byte for byte.
+  climate::ClimateDataset ds(sht::GridShape{3, 4}, 2, 1, 1);
+  for (std::size_t i = 0; i < ds.raw().size(); ++i) {
+    ds.raw()[i] = 280.0 + 0.5 * static_cast<double>(i);
+  }
+  const std::string p = ::testing::TempDir() + "/exaclim_fuzz_dataset_ok.bin";
+  ds.save(p);
+  const auto back = climate::ClimateDataset::load(p);
+  std::filesystem::remove(p);
+  EXPECT_TRUE(back.raw() == ds.raw());
+  EXPECT_EQ(back.num_steps(), 2);
+  EXPECT_EQ(back.grid().nlon, 4);
 }
 
 }  // namespace
