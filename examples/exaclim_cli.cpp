@@ -71,7 +71,6 @@
 
 using namespace exaclim;
 using exaclim::InvalidArgument;
-using exaclim::IoError;
 
 namespace {
 
@@ -390,7 +389,9 @@ int cmd_emulate(const std::map<std::string, std::string>& args) {
 
 int cmd_info(const std::map<std::string, std::string>& args) {
   const std::string path = get(args, "file");
-  try {
+  // Dispatch on the magic, so that a dataset the loader rejects reports the
+  // loader's reason rather than the model parser's.
+  if (climate::ClimateDataset::has_magic(path)) {
     const auto data = climate::ClimateDataset::load(path);
     std::printf("dataset: %lld x %lld grid | %lld steps (%lld/yr) | %lld "
                 "members | %.0f points\n",
@@ -401,8 +402,6 @@ int cmd_info(const std::map<std::string, std::string>& args) {
                 static_cast<long long>(data.num_ensembles()),
                 data.total_points());
     return 0;
-  } catch (const IoError&) {
-    // fall through: maybe a model file
   }
   const auto emulator = core::load_emulator(path);
   const auto& cfg = emulator.config();

@@ -10,22 +10,24 @@
 # over src/ when the binary is on PATH — containers without it get a warning
 # and the grep-based invariants still run, so the stage never silently skips
 # the cheap checks. The kernels stage re-runs the blocked-vs-reference parity
-# suites, the DAG-verifier suite and the determinism suite under the
-# relassert preset (-O2 with assertions and -Wshadow -Wconversion on
+# suites, the DAG-verifier suite, the determinism suite and the fidelity
+# suite (the factor contract) under the relassert preset (-O2 with
+# assertions and -Wshadow -Wconversion on
 # runtime/ and analysis/), a different optimization level than tier 1 —
 # explicit-vector kernels, and loops whose rounding the vectorizer picks
 # (the emulation oracle test), are the code most likely to diverge when the
 # compiler changes its mind. The portable stage builds without
 # -march=native, so the loop micro-kernel, the scalar conversion paths and
 # the FMA-free multiply-add loops the native build never runs are tested
-# too, parity and determinism suites alike.
+# too, parity, determinism and fidelity suites alike.
 # The asan preset races the fault/recovery and verifier paths for lifetime
 # bugs; the tsan preset hunts data races in the work-stealing runtime and
 # additionally runs its sweep with EXACLIM_VERIFY=dynamic, so the shadow
 # checker's own atomics are raced under instrumentation while it
 # cross-checks the executed schedules. The sanitizers also run the determinism suite so
 # bit-reproducibility is checked under instrumented schedules, where thread
-# interleavings differ most from release builds.
+# interleavings differ most from release builds, and the fidelity suite, so
+# the factor contract and the MXCSR restore hold there too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,7 +78,11 @@ run() { echo "+ $*" >&2; "$@"; }
 #   * std::atomic_thread_fence in src/ only in the files listed below, each
 #     with the reason its fences order no published data — TSan models
 #     atomic operations but not standalone fences, so a fence that publishes
-#     data hides a happens-before edge from the tsan sweep.
+#     data hides a happens-before edge from the tsan sweep;
+#   * the floating-point environment (_mm_setcsr, _MM_SET_FLUSH_ZERO_MODE,
+#     _MM_SET_DENORMALS_ZERO_MODE, fesetenv, ldmxcsr) is written in src/
+#     only in common/fpenv.hpp, the scoped FTZ|DAZ of the low-precision tile
+#     tasks — a process-wide flush-to-zero would move FP64 bytes.
 lint() {
   local fail=0
 
@@ -246,6 +252,14 @@ lint() {
     fail=1
   fi
 
+  hits="$(grep -rnE '\b(_mm_setcsr|_MM_SET_FLUSH_ZERO_MODE|_MM_SET_DENORMALS_ZERO_MODE|fesetenv|ldmxcsr)\b' src \
+          | grep -v '^src/common/fpenv\.hpp:' || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: floating-point environment written outside common/fpenv.hpp (scope FTZ|DAZ with common::FlushDenormalsScope):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
   if [[ "$fail" -ne 0 ]]; then
     echo "lint stage failed" >&2
     exit 1
@@ -275,7 +289,7 @@ lint
 run cmake --preset relassert
 run cmake --build --preset relassert -j
 run ctest --test-dir build-relassert --output-on-failure \
-    -L 'kernels|analysis|determinism'
+    -L 'kernels|analysis|determinism|fidelity'
 
 # --- portable build: the loop micro-kernel and the scalar tails --------------
 # Without -march=native there is no AVX-512, F16C or FMA: the blocked engine
@@ -284,7 +298,8 @@ run ctest --test-dir build-relassert --output-on-failure \
 # — the fallbacks the native sweeps never build.
 run cmake --preset portable
 run cmake --build --preset portable -j
-run ctest --test-dir build-portable --output-on-failure -L 'kernels|determinism'
+run ctest --test-dir build-portable --output-on-failure \
+    -L 'kernels|determinism|fidelity'
 
 # --- sanitizer sweeps over the guarded subsystems ----------------------------
 for preset in asan tsan; do
@@ -298,10 +313,10 @@ for preset in asan tsan; do
     # under concurrent clients.
     run env EXACLIM_VERIFY=dynamic \
         ctest --test-dir "build-$preset" --output-on-failure \
-        -L 'fault|determinism|runtime|kernels|analysis|serve'
+        -L 'fault|determinism|runtime|kernels|analysis|serve|fidelity'
   else
     run ctest --test-dir "build-$preset" --output-on-failure \
-        -L 'fault|determinism|runtime|kernels|analysis|serve'
+        -L 'fault|determinism|runtime|kernels|analysis|serve|fidelity'
   fi
 done
 

@@ -508,4 +508,25 @@ void verify_dag_or_throw(const TaskGraph& graph,
   if (!report.ok()) throw DagVerifyError(std::move(report));
 }
 
+VerifyReport verify_pruning(const TaskGraph& graph,
+                            const std::vector<std::uint8_t>& already_done,
+                            const VerifyLimits& limits) {
+  // Check (e) reads only the successor lists: a zero cap skips the O(V^2)
+  // closure that checks (a) and (d) need.
+  VerifyLimits no_closure = limits;
+  no_closure.max_closure_tasks = 0;
+  Verifier v(graph, no_closure);
+  v.report.tasks = graph.num_tasks();
+  v.report.exhaustive = true;
+  v.check_pruning(already_done);
+  return std::move(v.report);
+}
+
+void verify_pruning_or_throw(const TaskGraph& graph,
+                             const std::vector<std::uint8_t>& already_done,
+                             const VerifyLimits& limits) {
+  VerifyReport report = verify_pruning(graph, already_done, limits);
+  if (!report.ok()) throw DagVerifyError(std::move(report));
+}
+
 }  // namespace exaclim::analysis

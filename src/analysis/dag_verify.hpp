@@ -141,4 +141,17 @@ void verify_dag_or_throw(const runtime::TaskGraph& graph,
                          const std::vector<std::uint8_t>* already_done = nullptr,
                          const VerifyLimits& limits = {});
 
+/// Check (e) alone, for a graph whose checks (a)-(d) already passed: checks
+/// (a)-(d) depend only on the graph, so a budgeted run re-verifies each
+/// later round's larger bitmap without rebuilding the reachability closure.
+/// Reports the same PruneInconsistent issues as verify_dag.
+VerifyReport verify_pruning(const runtime::TaskGraph& graph,
+                            const std::vector<std::uint8_t>& already_done,
+                            const VerifyLimits& limits = {});
+
+/// verify_pruning, throwing DagVerifyError unless the report is clean.
+void verify_pruning_or_throw(const runtime::TaskGraph& graph,
+                             const std::vector<std::uint8_t>& already_done,
+                             const VerifyLimits& limits = {});
+
 }  // namespace exaclim::analysis

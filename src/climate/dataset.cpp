@@ -102,6 +102,13 @@ void ClimateDataset::save(const std::string& path) const {
   common::atomic_write_file(path, pieces);
 }
 
+bool ClimateDataset::has_magic(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  char magic[8];
+  return in.read(magic, sizeof(magic)) &&
+         std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
+}
+
 ClimateDataset ClimateDataset::load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open for reading: " + path);

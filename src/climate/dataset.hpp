@@ -75,6 +75,9 @@ class ClimateDataset {
   /// Throws IoError naming both sizes when the payload the header implies
   /// differs from the file's, before allocating anything.
   static ClimateDataset load(const std::string& path);
+  /// True when `path` opens and starts with the dataset magic (EXACLIM1):
+  /// a file-kind dispatch that leaves load()'s verdict to load().
+  static bool has_magic(const std::string& path);
 
  private:
   sht::GridShape grid_{};

@@ -15,7 +15,9 @@
 // factorizes to a finite factor — the policies need no magnitude guard of
 // their own. The practical ceiling is the f32 accumulate of the HP update
 // path (entries up to ~1e38); the per-tile scale itself is clamped to the
-// normal-float range, saturating only beyond ~5e42.
+// normal-float range, saturating only beyond ~5e42. The floor is f32's
+// normal range: FP32 and FP16 tasks flush values below 2^-126 to zero
+// (common/fpenv.hpp).
 #pragma once
 
 #include <string>

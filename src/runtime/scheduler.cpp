@@ -579,7 +579,12 @@ RunStats execute(const TaskGraph& graph, const SchedulerOptions& options,
   const VerifyMode verify = resolve_verify_mode(options.verify);
   std::unique_ptr<analysis::ShadowChecker> shadow;
   if (verify != VerifyMode::Off) {
-    analysis::verify_dag_or_throw(graph, options.already_done);
+    if (!options.graph_verified) {
+      analysis::verify_dag_or_throw(graph, options.already_done);
+    } else if (options.already_done != nullptr &&
+               !options.already_done->empty()) {
+      analysis::verify_pruning_or_throw(graph, *options.already_done);
+    }
     if (verify == VerifyMode::Dynamic) {
       shadow = std::make_unique<analysis::ShadowChecker>(graph,
                                                          options.already_done);

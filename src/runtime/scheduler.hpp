@@ -63,6 +63,11 @@ struct SchedulerOptions {
   /// shadow-checks the executed schedule at task entry/exit. Default
   /// resolves through EXACLIM_VERIFY and falls back to Static.
   VerifyMode verify = VerifyMode::Default;
+  /// Set by a caller that runs a graph execute() has already verified (the
+  /// later rounds of a budgeted run): checks (a)-(d) depend only on the
+  /// graph, so the static gate then runs only the pruning check (e) on
+  /// `already_done`. The dynamic shadow checker runs as before.
+  bool graph_verified = false;
 };
 
 struct RunStats {

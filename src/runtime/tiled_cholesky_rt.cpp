@@ -8,6 +8,7 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/fpenv.hpp"
 #include "common/parallel.hpp"
 #include "linalg/kernels.hpp"
 #include "runtime/checkpoint.hpp"
@@ -127,7 +128,10 @@ const CholeskyGraph::CopySlot& CholeskyGraph::ensure_convert(index_t i,
   // first-touches the pages, so on a NUMA machine the copy lands on the
   // node that will read it. Consumers are ordered after the CONVERT task by
   // the inferred RAW edge, so they never observe the vector mid-resize.
+  // A CONVERT to FP32 or packed half runs flush-to-zero, like the
+  // low-precision tasks that consume its copy (common/fpenv.hpp).
   std::function<void()> body = [&t, repr, buffer = &slot.buffer] {
+    const common::FlushDenormalsScope ftz(repr != Repr::F64);
     convert(t, repr, *buffer);
   };
   if (ft_.integrity_checks) {
@@ -389,9 +393,13 @@ void CholeskyGraph::build() {
       const index_t n = b.cols();
       task.weight = static_cast<double>(m) * static_cast<double>(n) *
                     static_cast<double>(n);
+      // FP32/FP16 task bodies (TRSM, SYRK, GEMM), the receiver-side operand
+      // conversion included, run flush-to-zero; FP64 ones keep gradual
+      // underflow (common/fpenv.hpp).
       std::function<void()> body = [&b, &diag, l_copy = l_operand.copy, m, n,
                                     bp, l_repr] {
         Copy scratch;
+        const common::FlushDenormalsScope ftz(bp != Precision::FP64);
         const OperandView l = fetch(diag, l_repr, l_copy, scratch);
         switch (bp) {
           case Precision::FP64:
@@ -441,6 +449,7 @@ void CholeskyGraph::build() {
         std::function<void()> body = [&c, &in, in_copy = in_operand.copy, m,
                                       kk, cp, repr] {
           Copy scratch;
+          const common::FlushDenormalsScope ftz(cp != Precision::FP64);
           const OperandView op = fetch(in, repr, in_copy, scratch);
           switch (cp) {
             case Precision::FP64:
@@ -493,6 +502,7 @@ void CholeskyGraph::build() {
                                       b_copy = b_operand.copy, m, n, kk, cp,
                                       repr] {
           Copy scratch_a, scratch_b;
+          const common::FlushDenormalsScope ftz(cp != Precision::FP64);
           const OperandView a_op = fetch(ain, repr, a_copy, scratch_a);
           const OperandView b_op = fetch(bin, repr, b_copy, scratch_b);
           switch (cp) {
@@ -639,9 +649,11 @@ RtCholeskyResult cholesky_tiled_parallel(linalg::TiledSymmetricMatrix& a,
 
   // Budgeted rounds: each execute() quiesces at a task boundary, which is
   // the crash-consistent point to snapshot the frontier + tile payloads.
+  // The first round verifies the graph; the later ones only their bitmaps.
   for (;;) {
     sched.already_done = have_already ? &already : nullptr;
     RunStats round = execute(builder.graph(), sched, trace);
+    sched.graph_verified = true;
     merge_run_stats(result.run, round);
     if (periodic) {
       join_pending();

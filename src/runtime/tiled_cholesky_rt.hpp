@@ -9,7 +9,12 @@
 //   TRSM(i,k)   -> broadcasts to GEMM(i,j,k) in row i / column i, SYRK(i,k)
 // Tasks compute in the precision class of their *output* tile; fp16 tiles
 // compute with half-rounded operands and fp32 accumulation (tensor-core
-// semantics). Inputs arriving in a different precision are converted either
+// semantics). FP32 and FP16 tasks, and the CONVERTs making their operand
+// copies, flush subnormals to zero (common/fpenv.hpp): their values below
+// 2^-126 become signed zeros instead of costing a microcode assist per FMA.
+// FP64 tasks and POTRF keep IEEE gradual underflow, so a DP factor's bytes
+// do not depend on it.
+// Inputs arriving in a different precision are converted either
 //   * at the "sender": explicit CONVERT tasks right after the producing
 //     POTRF/TRSM write a shared converted copy that all consumers read — one
 //     conversion per (tile, precision), PaRSEC's sender-side reshaping and

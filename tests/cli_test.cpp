@@ -1,0 +1,88 @@
+// End-to-end checks of the exaclim_cli binary: what a user sees when it is
+// handed a damaged file.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "climate/dataset.hpp"
+#include "common/io.hpp"
+
+namespace {
+
+using namespace exaclim;
+
+struct CliRun {
+  int status = -1;
+  std::string output;  // stdout and stderr
+};
+
+CliRun run_cli(const std::string& args) {
+  const std::string cmd = std::string(EXACLIM_CLI_PATH) + " " + args + " 2>&1";
+  CliRun run;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return run;
+  std::array<char, 512> buf{};
+  while (std::fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr) {
+    run.output += buf.data();
+  }
+  const int raw = pclose(pipe);
+  run.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+  return run;
+}
+
+/// Writes `bytes` to a fresh file under the test temp dir.
+std::string write_temp(const std::string& name,
+                       const std::vector<unsigned char>& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  common::atomic_write_file(path, bytes.data(), bytes.size());
+  return path;
+}
+
+TEST(CliInfo, RejectedDatasetReportsTheDatasetReason) {
+  // The 48-byte EXACLIM1 file whose nlat = nlon = 2^31 header wraps the
+  // payload size: info must print the dataset loader's verdict, not the
+  // model parser's "bad magic" from retrying the file as a model.
+  std::vector<unsigned char> bytes = {'E', 'X', 'A', 'C', 'L', 'I', 'M', '1'};
+  const index_t header[5] = {index_t{1} << 31, index_t{1} << 31, 4, 1, 1};
+  const auto* h = reinterpret_cast<const unsigned char*>(header);
+  bytes.insert(bytes.end(), h, h + sizeof(header));
+  ASSERT_EQ(bytes.size(), 48u);
+  const std::string path = write_temp("exaclim_cli_wrapped.bin", bytes);
+  const CliRun run = run_cli("info --file " + path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(run.status, 1) << run.output;
+  EXPECT_NE(run.output.find("payload bytes but the file holds 0"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("bad magic"), std::string::npos) << run.output;
+}
+
+TEST(CliInfo, DispatchesOnTheMagic) {
+  // A valid dataset still describes itself ...
+  climate::ClimateDataset ds(sht::GridShape{3, 4}, 2, 1, 2);
+  const std::string data_path =
+      ::testing::TempDir() + "/exaclim_cli_dataset.bin";
+  ds.save(data_path);
+  const CliRun data = run_cli("info --file " + data_path);
+  std::filesystem::remove(data_path);
+  EXPECT_EQ(data.status, 0) << data.output;
+  EXPECT_NE(data.output.find("dataset: 3 x 4 grid"), std::string::npos)
+      << data.output;
+
+  // ... and any other file goes to the model parser, whose error names it.
+  const std::string other =
+      write_temp("exaclim_cli_other.bin", {'E', 'X', 'A', 'C', 'L', 'I', 'M'});
+  const CliRun run = run_cli("info --file " + other);
+  std::filesystem::remove(other);
+  EXPECT_EQ(run.status, 1) << run.output;
+  EXPECT_NE(run.output.find("emulator model"), std::string::npos)
+      << run.output;
+}
+
+}  // namespace

@@ -166,6 +166,59 @@ TEST(DagVerify, RedOnNonDownwardClosedBitmap) {
       << report.summary();
 }
 
+TEST(DagVerify, PruningOnlyEntryRejectsWhatTheFullVerifierRejects) {
+  // A budgeted run verifies its graph once and then only each round's
+  // bitmap (check (e)); that entry must reject a planted frontier exactly as
+  // the full verifier does.
+  BuiltGraph built(4, PrecisionVariant::DP_SP_HP, ConversionPlacement::Sender);
+  TaskGraph& g = built.graph();
+  const auto& kernel_ids = built.builder->kernel_task_ids();
+  std::vector<std::uint8_t> done(static_cast<std::size_t>(g.num_tasks()), 0);
+  done[static_cast<std::size_t>(kernel_ids.back())] = 1;
+  const VerifyReport full = analysis::verify_dag(g, &done);
+  const VerifyReport pruning = analysis::verify_pruning(g, done);
+  ASSERT_FALSE(pruning.ok());
+  ASSERT_EQ(pruning.issues.size(), full.issues.size()) << pruning.summary();
+  for (std::size_t i = 0; i < full.issues.size(); ++i) {
+    EXPECT_EQ(pruning.issues[i].kind, IssueKind::PruneInconsistent);
+    EXPECT_EQ(pruning.issues[i].kind, full.issues[i].kind);
+    EXPECT_EQ(pruning.issues[i].a, full.issues[i].a);
+    EXPECT_EQ(pruning.issues[i].b, full.issues[i].b);
+  }
+  EXPECT_THROW(analysis::verify_pruning_or_throw(g, done),
+               analysis::DagVerifyError);
+
+  // A size mismatch is a pruning issue too; a kernel prefix is clean.
+  EXPECT_TRUE(has_issue(analysis::verify_pruning(g, {1, 0}),
+                        IssueKind::PruneInconsistent));
+  std::fill(done.begin(), done.end(), 0);
+  for (std::size_t s = 0; s < kernel_ids.size() / 2; ++s) {
+    done[static_cast<std::size_t>(kernel_ids[s])] = 1;
+  }
+  EXPECT_TRUE(analysis::verify_pruning(g, done).ok());
+}
+
+TEST(DagVerify, VerifiedGraphRoundsCheckOnlyTheirBitmaps) {
+  // graph_verified tells execute() that checks (a)-(d) already passed: a
+  // misdeclared effect (which does not change what the bodies do) then goes
+  // unchecked, while a planted bitmap is still refused.
+  BuiltGraph built(2, PrecisionVariant::DP, ConversionPlacement::Sender);
+  TaskGraph& g = built.graph();
+  const TaskId potrf0 = built.builder->kernel_task_ids()[0];
+  g.task(potrf0).effects[0].mode = Access::Read;
+  SchedulerOptions opt;
+  opt.threads = 2;
+  opt.verify = VerifyMode::Static;
+  EXPECT_THROW(execute(g, opt), analysis::DagVerifyError);
+  std::vector<std::uint8_t> done(static_cast<std::size_t>(g.num_tasks()), 0);
+  done[static_cast<std::size_t>(built.builder->kernel_task_ids().back())] = 1;
+  opt.graph_verified = true;
+  opt.already_done = &done;
+  EXPECT_THROW(execute(g, opt), analysis::DagVerifyError);
+  opt.already_done = nullptr;
+  EXPECT_TRUE(execute(g, opt).finished_all);
+}
+
 // ---------- red: seeded edge-deletion mutants --------------------------------
 
 TEST(DagVerify, DetectsDeletedCriticalEdge) {
