@@ -403,15 +403,15 @@ int cmd_info(const std::map<std::string, std::string>& args) {
                 data.total_points());
     return 0;
   }
-  const auto emulator = core::load_emulator(path);
-  const auto& cfg = emulator.config();
+  // The header is all this prints: open the model, decode nothing else.
+  const core::FrozenModel model(path);
   std::printf("model: L=%lld, P=%lld, K=%lld, tau=%lld, grid %lld x %lld\n",
-              static_cast<long long>(cfg.band_limit),
-              static_cast<long long>(cfg.ar_order),
-              static_cast<long long>(cfg.harmonics),
-              static_cast<long long>(cfg.steps_per_year),
-              static_cast<long long>(emulator.grid().nlat),
-              static_cast<long long>(emulator.grid().nlon));
+              static_cast<long long>(model.band_limit()),
+              static_cast<long long>(model.ar_order()),
+              static_cast<long long>(model.harmonics()),
+              static_cast<long long>(model.steps_per_year()),
+              static_cast<long long>(model.grid().nlat),
+              static_cast<long long>(model.grid().nlon));
   return 0;
 }
 

@@ -82,7 +82,12 @@ run() { echo "+ $*" >&2; "$@"; }
 #   * the floating-point environment (_mm_setcsr, _MM_SET_FLUSH_ZERO_MODE,
 #     _MM_SET_DENORMALS_ZERO_MODE, fesetenv, ldmxcsr) is written in src/
 #     only in common/fpenv.hpp, the scoped FTZ|DAZ of the low-precision tile
-#     tasks — a process-wide flush-to-zero would move FP64 bytes.
+#     tasks — a process-wide flush-to-zero would move FP64 bytes;
+#   * the dense factor stays out of src/: to_dense appears only in
+#     linalg/tile_matrix.* and runtime/tiled_cholesky_rt.cpp
+#     (cholesky_mixed_dense), and unpack_lower only in linalg/matrix.* and
+#     core/{emulator,multivariate}.cpp (the cholesky_factor() accessors) —
+#     a trained, saved, loaded, emulated and served factor is packed rows.
 lint() {
   local fail=0
 
@@ -256,6 +261,24 @@ lint() {
           | grep -v '^src/common/fpenv\.hpp:' || true)"
   if [[ -n "$hits" ]]; then
     echo "lint: floating-point environment written outside common/fpenv.hpp (scope FTZ|DAZ with common::FlushDenormalsScope):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bto_dense\(' src \
+          | grep -vE '^src/(linalg/tile_matrix\.(hpp|cpp)|runtime/tiled_cholesky_rt\.cpp):' \
+          || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: to_dense outside linalg/tile_matrix.* and runtime/tiled_cholesky_rt.cpp (a factor leaves its tiles as packed rows, to_packed_lower):" >&2
+    echo "$hits" >&2
+    fail=1
+  fi
+
+  hits="$(grep -rnE '\bunpack_lower\(' src \
+          | grep -vE '^src/(linalg/matrix\.(hpp|cpp)|core/(emulator|multivariate)\.cpp):' \
+          || true)"
+  if [[ -n "$hits" ]]; then
+    echo "lint: unpack_lower outside linalg/matrix.* and the cholesky_factor() accessors (read the packed factor where it lies):" >&2
     echo "$hits" >&2
     fail=1
   fi

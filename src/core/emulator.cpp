@@ -23,19 +23,38 @@ ClimateEmulator::ClimateEmulator(EmulatorConfig config)
   check_config(config_);
 }
 
+ClimateEmulator::ClimateEmulator(EmulatorConfig config, TrainedVariables state)
+    : config_(std::move(config)), state_(std::move(state)) {
+  check_config(config_);
+  EXACLIM_CHECK(is_trained() &&
+                    state_.plan->band_limit() == config_.band_limit &&
+                    state_.trend.size() == 1 && state_.nugget_var.size() == 1,
+                "need the trained state of one variable at the band limit");
+  const auto n = static_cast<std::size_t>(sh_coeff_count(config_.band_limit));
+  const auto points = static_cast<std::size_t>(grid().num_points());
+  EXACLIM_CHECK(trend_models().size() == points,
+                "trend model count must match grid");
+  EXACLIM_CHECK(state_.ar.size() == n, "AR model count must match band limit");
+  EXACLIM_CHECK(state_.factor.size() == n * (n + 1) / 2,
+                "factor dimension must be L^2");
+  EXACLIM_CHECK(nugget_variance().size() == points,
+                "nugget variance count must match grid");
+}
+
 TrainReport ClimateEmulator::train(const climate::ClimateDataset& data,
                                    std::span<const double> annual_forcing) {
   const climate::ClimateDataset* const variables[] = {&data};
-  TrainedVariables trained =
-      train_variables(config_, variables, annual_forcing);
-  grid_ = trained.plan->grid();
-  trend_ = std::move(trained.trend.front());
-  ar_ = std::move(trained.ar);
-  factor_ = std::move(trained.factor);
-  nugget_var_ = std::move(trained.nugget_var.front());
-  plan_ = std::move(trained.plan);
-  trained_ = true;
-  return trained.report;
+  state_ = train_variables(config_, variables, annual_forcing);
+  return state_.report;
+}
+
+const TrainedVariables& ClimateEmulator::trained() const {
+  EXACLIM_CHECK(is_trained(), "emulator has not been trained");
+  return state_;
+}
+
+linalg::Matrix ClimateEmulator::cholesky_factor() const {
+  return linalg::unpack_lower(state_.factor, state_.factor_view().n);
 }
 
 TrainedVariables train_variables(
@@ -260,7 +279,7 @@ TrainedVariables train_variables(
     }
     report.covariance_rung = rung;
     report.tiles_degraded_for_memory = tiled.tiles_degraded_for_memory();
-    out.factor = tiled.to_dense(/*lower_only=*/true);
+    out.factor = tiled.to_packed_lower();
     break;
   }
   report.covariance_jitter = prepared.jitter + rung_jitter;
@@ -278,7 +297,7 @@ std::vector<climate::ClimateDataset> emulate_variables(
     const EmulatorConfig& config, const sht::SHTPlan& plan,
     std::span<const std::vector<stats::TrendModel>> trend,
     std::span<const std::vector<double>> nugget_var,
-    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    std::span<const stats::ArModel> ar, const linalg::PackedFactorView& factor,
     index_t num_steps, index_t num_ensembles,
     std::span<const double> annual_forcing, std::uint64_t seed) {
   EXACLIM_CHECK(num_steps >= 1 && num_ensembles >= 1,
@@ -290,7 +309,7 @@ std::vector<climate::ClimateDataset> emulate_variables(
   const index_t L = config.band_limit;
   const index_t n_coeff = sh_coeff_count(L);
   const auto num_vars = static_cast<index_t>(trend.size());
-  const index_t n = factor.rows();
+  const index_t n = factor.n;
   const index_t num_points = plan.grid().num_points();
   const index_t P = config.ar_order;
   const index_t burn = config.emulation_burn_in + P;
@@ -312,10 +331,6 @@ std::vector<climate::ClimateDataset> emulate_variables(
     for (double& x : sd) x = std::sqrt(x);
   }
 
-  const std::vector<double> packed = linalg::pack_lower(factor);
-  const linalg::PackedFactorView view{
-      reinterpret_cast<const unsigned char*>(packed.data()),
-      packed.size() * sizeof(double), n, linalg::PackedStorage::F64};
   runtime::SamplingDagOptions dag_options;
   dag_options.tile = config.tile_size;
   // One participant: a panel's fill, DAG build, verification and execute
@@ -363,7 +378,7 @@ std::vector<climate::ClimateDataset> emulate_variables(
     }
     thread_local runtime::SamplePanel panel;
     runtime::sample_panel(
-        view, seed,
+        factor, seed,
         std::span<const std::uint64_t>(stream_ids.data(),
                                        static_cast<std::size_t>(width)),
         panel, nullptr, dag_options, sched);
@@ -465,7 +480,7 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
     const EmulatorConfig& config, const sht::SHTPlan& plan,
     std::span<const std::vector<stats::TrendModel>> trend,
     std::span<const std::vector<double>> nugget_var,
-    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    std::span<const stats::ArModel> ar, const linalg::PackedFactorView& factor,
     index_t num_steps, index_t num_ensembles,
     std::span<const double> annual_forcing, std::uint64_t seed) {
   EXACLIM_CHECK(num_steps >= 1 && num_ensembles >= 1,
@@ -477,7 +492,7 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
   const index_t L = config.band_limit;
   const index_t n_coeff = sh_coeff_count(L);
   const auto num_vars = static_cast<index_t>(trend.size());
-  const index_t n = factor.rows();
+  const index_t n = factor.n;
   const index_t num_points = plan.grid().num_points();
   const index_t P = config.ar_order;
   const index_t burn = config.emulation_burn_in + P;
@@ -494,10 +509,6 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
                                                    annual_forcing, threads));
   }
 
-  const std::vector<double> packed = linalg::pack_lower(factor);
-  const linalg::PackedFactorView view{
-      reinterpret_cast<const unsigned char*>(packed.data()),
-      packed.size() * sizeof(double), n, linalg::PackedStorage::F64};
   runtime::SamplingDagOptions dag_options;
   dag_options.tile = config.tile_size;
   const runtime::SchedulerOptions sched = sampling_options(config);
@@ -518,7 +529,7 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
         stream_ids[static_cast<std::size_t>(j)] = runtime::emulation_stream_id(
             runtime::EmulationStream::Innovation, r, s0 + j);
       }
-      runtime::sample_panel(view, seed, stream_ids, panel, nullptr,
+      runtime::sample_panel(factor, seed, stream_ids, panel, nullptr,
                             dag_options, sched);
       for (index_t j = 0; j < width; ++j) {
         const index_t s = s0 + j;
@@ -567,35 +578,11 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
 climate::ClimateDataset ClimateEmulator::emulate(
     index_t num_steps, index_t num_ensembles,
     std::span<const double> annual_forcing, std::uint64_t seed) const {
-  EXACLIM_CHECK(trained_, "emulator has not been trained");
-  auto out = emulate_variables(config_, *plan_, {&trend_, 1}, {&nugget_var_, 1},
-                               ar_, factor_, num_steps, num_ensembles,
+  const TrainedVariables& s = trained();
+  auto out = emulate_variables(config_, *s.plan, s.trend, s.nugget_var, s.ar,
+                               s.factor_view(), num_steps, num_ensembles,
                                annual_forcing, seed);
   return std::move(out.front());
-}
-
-void ClimateEmulator::restore(sht::GridShape grid,
-                              std::vector<stats::TrendModel> trend,
-                              std::vector<stats::ArModel> ar,
-                              linalg::Matrix factor,
-                              std::vector<double> nugget_var) {
-  EXACLIM_CHECK(static_cast<index_t>(trend.size()) == grid.num_points(),
-                "trend model count must match grid");
-  EXACLIM_CHECK(static_cast<index_t>(ar.size()) ==
-                    sh_coeff_count(config_.band_limit),
-                "AR model count must match band limit");
-  EXACLIM_CHECK(factor.rows() == sh_coeff_count(config_.band_limit) &&
-                    factor.rows() == factor.cols(),
-                "factor dimension must be L^2");
-  EXACLIM_CHECK(static_cast<index_t>(nugget_var.size()) == grid.num_points(),
-                "nugget variance count must match grid");
-  grid_ = grid;
-  trend_ = std::move(trend);
-  ar_ = std::move(ar);
-  factor_ = std::move(factor);
-  nugget_var_ = std::move(nugget_var);
-  plan_ = std::make_shared<const sht::SHTPlan>(config_.band_limit, grid_);
-  trained_ = true;
 }
 
 }  // namespace exaclim::core

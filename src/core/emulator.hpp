@@ -37,6 +37,7 @@
 
 #include "climate/dataset.hpp"
 #include "core/config.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "sht/sht.hpp"
 #include "stats/ar.hpp"
@@ -72,10 +73,36 @@ struct TrainReport {
   index_t tiles_degraded_for_memory = 0;  ///< tiles narrowed to f16 by budget
 };
 
+/// The trained state of V co-located variables: per-variable trend and
+/// nugget, plus the diagonal VAR(P) and the lower Cholesky factor of the
+/// joint, variable-major V * L^2 innovation covariance.
+struct TrainedVariables {
+  std::shared_ptr<const sht::SHTPlan> plan;  ///< its grid() is the data grid
+  std::vector<std::vector<stats::TrendModel>> trend;  ///< [v][point]
+  std::vector<std::vector<double>> nugget_var;        ///< [v][point]
+  std::vector<stats::ArModel> ar;                     ///< V * L^2 models
+  std::vector<double> factor;  ///< lower, V L^2 rows packed (file layout)
+  TrainReport report;
+  /// V x V, row-major: entry (a, b) is the mean absolute innovation
+  /// correlation between coefficient i of variable a and coefficient i of
+  /// variable b, over the L^2 packed coefficients.
+  std::vector<double> cross_correlation;
+
+  /// The packed factor as the sampling engine reads it (n = ar.size()).
+  linalg::PackedFactorView factor_view() const {
+    return {reinterpret_cast<const unsigned char*>(factor.data()),
+            factor.size() * sizeof(double), static_cast<index_t>(ar.size()),
+            linalg::PackedStorage::F64};
+  }
+};
+
 /// A trained emulator. Copyable; serializable via core/serialize.hpp.
 class ClimateEmulator {
  public:
   explicit ClimateEmulator(EmulatorConfig config);
+  /// A trained emulator over one variable's state (as load_emulator builds
+  /// it); throws InvalidArgument unless its sizes match the band limit.
+  ClimateEmulator(EmulatorConfig config, TrainedVariables state);
 
   const EmulatorConfig& config() const { return config_; }
 
@@ -84,7 +111,7 @@ class ClimateEmulator {
   TrainReport train(const climate::ClimateDataset& data,
                     std::span<const double> annual_forcing);
 
-  bool is_trained() const { return trained_; }
+  bool is_trained() const { return state_.plan != nullptr; }
 
   /// Generates `num_ensembles` emulated members of `num_steps` steps under
   /// `annual_forcing` (may differ from training forcing: scenario mode).
@@ -94,42 +121,25 @@ class ClimateEmulator {
                                   std::uint64_t seed) const;
 
   // --- Introspection (tests, serialization, science diagnostics) ---------
-  const sht::GridShape& grid() const { return grid_; }
-  const std::vector<stats::TrendModel>& trend_models() const { return trend_; }
-  const std::vector<stats::ArModel>& ar_models() const { return ar_; }
-  const linalg::Matrix& cholesky_factor() const { return factor_; }
-  const std::vector<double>& nugget_variance() const { return nugget_var_; }
-
-  // Used by deserialization.
-  void restore(sht::GridShape grid, std::vector<stats::TrendModel> trend,
-               std::vector<stats::ArModel> ar, linalg::Matrix factor,
-               std::vector<double> nugget_var);
+  const TrainedVariables& state() const { return state_; }
+  const sht::GridShape& grid() const { return trained().plan->grid(); }
+  const std::vector<stats::TrendModel>& trend_models() const {
+    return trained().trend.front();
+  }
+  const std::vector<stats::ArModel>& ar_models() const { return state_.ar; }
+  /// The dense lower factor V, strict upper triangle zero, unpacked from
+  /// the packed state on each call: for tests and benches, not pipelines.
+  linalg::Matrix cholesky_factor() const;
+  const std::vector<double>& nugget_variance() const {
+    return trained().nugget_var.front();
+  }
 
  private:
-  EmulatorConfig config_;
-  bool trained_ = false;
-  sht::GridShape grid_{};
-  std::vector<stats::TrendModel> trend_;  ///< one per grid point
-  std::vector<stats::ArModel> ar_;        ///< one per packed coefficient
-  linalg::Matrix factor_;                 ///< V, lower Cholesky of U-hat
-  std::vector<double> nugget_var_;        ///< v^2 per grid point
-  std::shared_ptr<const sht::SHTPlan> plan_;  ///< rebuilt on train/restore
-};
+  /// state_; throws InvalidArgument if the emulator is untrained.
+  const TrainedVariables& trained() const;
 
-/// The trained state of V co-located variables: per-variable trend and
-/// nugget, plus the diagonal VAR(P) and the lower Cholesky factor of the
-/// joint, variable-major V * L^2 innovation covariance.
-struct TrainedVariables {
-  std::shared_ptr<const sht::SHTPlan> plan;  ///< its grid() is the data grid
-  std::vector<std::vector<stats::TrendModel>> trend;  ///< [v][point]
-  std::vector<std::vector<double>> nugget_var;        ///< [v][point]
-  std::vector<stats::ArModel> ar;                     ///< V * L^2 models
-  linalg::Matrix factor;                              ///< lower, V L^2 square
-  TrainReport report;
-  /// V x V, row-major: entry (a, b) is the mean absolute innovation
-  /// correlation between coefficient i of variable a and coefficient i of
-  /// variable b, over the L^2 packed coefficients.
-  std::vector<double> cross_correlation;
+  EmulatorConfig config_;
+  TrainedVariables state_;
 };
 
 /// The training step of both emulators, for V = data.size() datasets sharing
@@ -147,7 +157,7 @@ std::vector<climate::ClimateDataset> emulate_variables(
     const EmulatorConfig& config, const sht::SHTPlan& plan,
     std::span<const std::vector<stats::TrendModel>> trend,
     std::span<const std::vector<double>> nugget_var,
-    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    std::span<const stats::ArModel> ar, const linalg::PackedFactorView& factor,
     index_t num_steps, index_t num_ensembles,
     std::span<const double> annual_forcing, std::uint64_t seed);
 
@@ -157,7 +167,7 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
     const EmulatorConfig& config, const sht::SHTPlan& plan,
     std::span<const std::vector<stats::TrendModel>> trend,
     std::span<const std::vector<double>> nugget_var,
-    std::span<const stats::ArModel> ar, const linalg::Matrix& factor,
+    std::span<const stats::ArModel> ar, const linalg::PackedFactorView& factor,
     index_t num_steps, index_t num_ensembles,
     std::span<const double> annual_forcing, std::uint64_t seed);
 

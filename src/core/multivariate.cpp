@@ -32,8 +32,12 @@ std::vector<climate::ClimateDataset> MultiVariateEmulator::emulate(
     std::span<const double> annual_forcing, std::uint64_t seed) const {
   EXACLIM_CHECK(is_trained(), "emulator has not been trained");
   return emulate_variables(config_, *state_.plan, state_.trend,
-                           state_.nugget_var, state_.ar, state_.factor,
+                           state_.nugget_var, state_.ar, state_.factor_view(),
                            num_steps, num_ensembles, annual_forcing, seed);
+}
+
+linalg::Matrix MultiVariateEmulator::cholesky_factor() const {
+  return linalg::unpack_lower(state_.factor, state_.factor_view().n);
 }
 
 }  // namespace exaclim::core

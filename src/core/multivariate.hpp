@@ -53,7 +53,9 @@ class MultiVariateEmulator {
   /// correlation) — the quantity a univariate product model forces to zero.
   double innovation_cross_correlation(index_t a, index_t b) const;
 
-  const linalg::Matrix& cholesky_factor() const { return state_.factor; }
+  /// The dense lower joint factor, strict upper triangle zero, unpacked
+  /// from the packed state on each call: for tests and benches.
+  linalg::Matrix cholesky_factor() const;
 
  private:
   EmulatorConfig config_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/framing.hpp"
 #include "common/half.hpp"
 
 namespace exaclim::core {
@@ -36,41 +35,72 @@ struct Header {
   std::uint8_t pad[7] = {};  // explicit padding: artifact bytes deterministic
 };
 
-void write_factor(common::ByteWriter& out, const linalg::Matrix& v,
-                  FactorStorage storage) {
-  const index_t n = v.rows();
-  const std::vector<double> packed = linalg::pack_lower(v);
-  switch (storage) {
-    case FactorStorage::FP64:
-      out.raw(packed.data(), packed.size() * sizeof(double));
-      break;
-    case FactorStorage::FP32: {
-      const std::vector<float> narrow(packed.begin(), packed.end());
-      out.raw(narrow.data(), narrow.size() * sizeof(float));
-      break;
-    }
-    case FactorStorage::FP16Scaled: {
-      // Per-row scaling keeps each row inside the binary16 range regardless
-      // of the factor's dynamic range.
-      std::vector<std::uint16_t> row;
-      for (index_t i = 0; i < n; ++i) {
-        double max_abs = 0.0;
-        for (index_t j = 0; j <= i; ++j) {
-          max_abs = std::max(max_abs, std::abs(v(i, j)));
-        }
-        const float scale =
-            max_abs > 0.0 ? static_cast<float>(max_abs / 32768.0) : 1.0f;
-        out.pod(scale);
-        row.resize(static_cast<std::size_t>(i + 1));
-        for (index_t j = 0; j <= i; ++j) {
-          row[static_cast<std::size_t>(j)] = common::float_to_half_bits(
-              static_cast<float>(v(i, j)) / scale);
-        }
-        out.raw(row.data(), row.size() * sizeof(std::uint16_t));
+/// Adds the factor section from the packed rows of an n x n lower factor:
+/// FP64 borrows the rows where they lie, FP32 and FP16Scaled narrow them.
+/// `packed` must outlive the writer's commit().
+void add_factor(common::FramedWriter& writer, std::span<const double> packed,
+                index_t n, FactorStorage storage) {
+  if (storage == FactorStorage::FP64) {
+    writer.add_section(kSectionFactor,
+                       {{packed.data(), packed.size() * sizeof(double)}});
+    return;
+  }
+  common::ByteWriter out;
+  if (storage == FactorStorage::FP32) {
+    const std::vector<float> narrow(packed.begin(), packed.end());
+    out.raw(narrow.data(), narrow.size() * sizeof(float));
+  } else {
+    // Per-row scaling keeps each row inside the binary16 range regardless
+    // of the factor's dynamic range.
+    std::vector<std::uint16_t> row;
+    for (index_t i = 0; i < n; ++i) {
+      const auto v = packed.subspan(static_cast<std::size_t>(i * (i + 1) / 2),
+                                    static_cast<std::size_t>(i + 1));
+      double max_abs = 0.0;
+      for (const double x : v) max_abs = std::max(max_abs, std::abs(x));
+      const float scale =
+          max_abs > 0.0 ? static_cast<float>(max_abs / 32768.0) : 1.0f;
+      out.pod(scale);
+      row.resize(v.size());
+      for (std::size_t j = 0; j < v.size(); ++j) {
+        row[j] = common::float_to_half_bits(static_cast<float>(v[j]) / scale);
       }
-      break;
+      out.raw(row.data(), row.size() * sizeof(std::uint16_t));
     }
   }
+  writer.add_section(kSectionFactor, std::move(out));
+}
+
+/// The packed rows of a factor section, widened to PackedStorage::F64. An
+/// FP16Scaled entry is the float product of its half and its row's scale.
+std::vector<double> widen_factor(const linalg::PackedFactorView& v) {
+  std::vector<double> out(static_cast<std::size_t>(v.n * (v.n + 1) / 2));
+  const unsigned char* in = v.bytes;
+  const auto next = [&in](auto& value) {
+    std::memcpy(&value, in, sizeof(value));
+    in += sizeof(value);
+  };
+  if (v.storage == linalg::PackedStorage::F64) {
+    std::memcpy(out.data(), in, out.size() * sizeof(double));
+  } else if (v.storage == linalg::PackedStorage::F32) {
+    for (double& x : out) {
+      float f = 0.0f;
+      next(f);
+      x = f;
+    }
+  } else {
+    double* dst = out.data();
+    for (index_t i = 0; i < v.n; ++i) {
+      float scale = 0.0f;
+      next(scale);
+      for (index_t j = 0; j <= i; ++j) {
+        std::uint16_t h = 0;
+        next(h);
+        *dst++ = static_cast<double>(common::half_bits_to_float(h) * scale);
+      }
+    }
+  }
+  return out;
 }
 
 void expect_end(const common::ByteReader& in, const char* section) {
@@ -81,60 +111,65 @@ void expect_end(const common::ByteReader& in, const char* section) {
   }
 }
 
-/// Reads packed lower-triangle rows of T into square `v`.
-template <typename T>
-void read_rows(common::ByteReader& in, linalg::Matrix& v) {
-  std::vector<T> row;
-  for (index_t i = 0; i < v.rows(); ++i) {
-    row.resize(static_cast<std::size_t>(i + 1));
-    in.raw(row.data(), row.size() * sizeof(T));
-    for (index_t j = 0; j <= i; ++j) v(i, j) = row[static_cast<std::size_t>(j)];
-  }
-}
-
-linalg::Matrix decode_factor(common::ByteReader in, index_t n,
-                             FactorStorage storage) {
-  linalg::Matrix v(n, n);
-  switch (storage) {
-    case FactorStorage::FP64: read_rows<double>(in, v); break;
-    case FactorStorage::FP32: read_rows<float>(in, v); break;
-    case FactorStorage::FP16Scaled: {
-      std::vector<std::uint16_t> row;
-      for (index_t i = 0; i < n; ++i) {
-        const auto scale = in.pod<float>();
-        row.resize(static_cast<std::size_t>(i + 1));
-        in.raw(row.data(), row.size() * sizeof(std::uint16_t));
-        for (index_t j = 0; j <= i; ++j) {
-          v(i, j) = static_cast<double>(
-              common::half_bits_to_float(row[static_cast<std::size_t>(j)]) *
-              scale);
-        }
-      }
-      break;
-    }
-  }
-  expect_end(in, "factor");
-  return v;
-}
-
 /// Validates a parsed header and returns the factor storage tag it names.
+/// Every value check_config rejects, a grid too coarse for the band limit's
+/// SHT plan, and a band limit or grid whose derived counts overflow (n = L^2,
+/// the n(n+1)/2 packed entries, their bytes in FP64, the widest storage and
+/// the one load_emulator widens to, and nlat * nlon points) is an IoError:
+/// nothing is sized from a header that fails here.
 FactorStorage check_header(const Header& header) {
-  EXACLIM_CHECK(header.band_limit > 0 && header.ar_order > 0 &&
-                    header.harmonics >= 0 && header.steps_per_year > 0 &&
-                    header.nlat > 0 && header.nlon > 0,
-                "corrupt model file: implausible header dimensions");
   if (header.factor_storage > 2) {
     throw IoError("corrupt model file: bad factor storage tag " +
                   std::to_string(header.factor_storage));
   }
+  bool valid = true;
+  try {
+    EmulatorConfig cfg;
+    cfg.band_limit = header.band_limit;
+    cfg.ar_order = header.ar_order;
+    cfg.harmonics = header.harmonics;
+    cfg.steps_per_year = header.steps_per_year;
+    check_config(cfg);
+  } catch (const InvalidArgument&) {
+    valid = false;
+  }
+  // nlat >= L + 1 and nlon >= 2L - 1 (sht::SHTPlan), with L >= 4 known;
+  // nlon >= L first keeps nlon - L from overflowing.
+  valid = valid && header.nlat > header.band_limit &&
+          header.nlon >= header.band_limit &&
+          header.nlon - header.band_limit >= header.band_limit - 1;
+  std::size_t n = 0, twice_entries = 0, bytes = 0, points = 0;
+  valid = valid &&
+          !__builtin_mul_overflow(static_cast<std::size_t>(header.band_limit),
+                                  static_cast<std::size_t>(header.band_limit),
+                                  &n) &&
+          !__builtin_mul_overflow(n, n + 1, &twice_entries) &&
+          !__builtin_mul_overflow(twice_entries / 2, sizeof(double), &bytes) &&
+          bytes <= static_cast<std::size_t>(PTRDIFF_MAX) &&
+          !__builtin_mul_overflow(static_cast<std::size_t>(header.nlat),
+                                  static_cast<std::size_t>(header.nlon),
+                                  &points) &&
+          points <= static_cast<std::size_t>(PTRDIFF_MAX);
+  if (!valid) {
+    throw IoError("corrupt model file: implausible header dimensions (L=" +
+                  std::to_string(header.band_limit) +
+                  ", P=" + std::to_string(header.ar_order) +
+                  ", K=" + std::to_string(header.harmonics) +
+                  ", tau=" + std::to_string(header.steps_per_year) +
+                  ", grid " + std::to_string(header.nlat) + " x " +
+                  std::to_string(header.nlon) + ")");
+  }
   return static_cast<FactorStorage>(header.factor_storage);
 }
 
-// Trend/AR/nugget decoders, shared by load_emulator and FrozenModel.
+// Trend/AR/nugget decoders of FrozenModel's lazy accessors.
 
 std::vector<stats::TrendModel> decode_trend(common::ByteReader in,
                                             index_t num_points,
                                             index_t steps_per_year) {
+  // A record is at least its five scalars and two empty coefficient lists.
+  in.check_remaining(static_cast<std::uint64_t>(num_points),
+                     5 * sizeof(double) + 2 * sizeof(std::uint64_t));
   std::vector<stats::TrendModel> trend(static_cast<std::size_t>(num_points));
   for (auto& tm : trend) {
     double scalars[5];
@@ -153,6 +188,9 @@ std::vector<stats::TrendModel> decode_trend(common::ByteReader in,
 }
 
 std::vector<stats::ArModel> decode_ar(common::ByteReader in, index_t count) {
+  // A record is at least an empty phi list and its innovation variance.
+  in.check_remaining(static_cast<std::uint64_t>(count),
+                     sizeof(std::uint64_t) + sizeof(double));
   std::vector<stats::ArModel> ar(static_cast<std::size_t>(count));
   for (auto& am : ar) {
     am.phi = in.vec64<double>();
@@ -230,9 +268,8 @@ void save_emulator(const ClimateEmulator& emulator, const std::string& path,
   }
   writer.add_section(kSectionAr, std::move(ar));
 
-  common::ByteWriter factor;
-  write_factor(factor, emulator.cholesky_factor(), factor_storage);
-  writer.add_section(kSectionFactor, std::move(factor));
+  add_factor(writer, emulator.state().factor, sh_coeff_count(cfg.band_limit),
+             factor_storage);
 
   common::ByteWriter nugget;
   nugget.vec64(emulator.nugget_variance());
@@ -242,30 +279,22 @@ void save_emulator(const ClimateEmulator& emulator, const std::string& path,
 }
 
 ClimateEmulator load_emulator(const std::string& path) {
-  const common::FramedFile file(path, kMagic, kWhat);
-
-  common::ByteReader hr = file.section(kSectionHeader);
-  const auto header = hr.pod<Header>();
-  const FactorStorage storage = check_header(header);
-
+  // The file's one reader: every section is CRC-checked and decoded by the
+  // accessors serving uses, then copied into the packed F64 state.
+  const FrozenModel model(path);
   EmulatorConfig cfg;
-  cfg.band_limit = header.band_limit;
-  cfg.ar_order = header.ar_order;
-  cfg.harmonics = header.harmonics;
-  cfg.steps_per_year = header.steps_per_year;
-  const sht::GridShape grid{header.nlat, header.nlon};
-
-  ClimateEmulator emulator(cfg);
-
-  const index_t n_coeff = sh_coeff_count(cfg.band_limit);
-  emulator.restore(
-      grid,
-      decode_trend(file.section(kSectionTrend), grid.num_points(),
-                   cfg.steps_per_year),
-      decode_ar(file.section(kSectionAr), n_coeff),
-      decode_factor(file.section(kSectionFactor), n_coeff, storage),
-      decode_nugget(file.section(kSectionNugget), grid.num_points()));
-  return emulator;
+  cfg.band_limit = model.band_limit();
+  cfg.ar_order = model.ar_order();
+  cfg.harmonics = model.harmonics();
+  cfg.steps_per_year = model.steps_per_year();
+  TrainedVariables state;
+  state.trend = {model.trend_models()};
+  state.ar = model.ar_models();
+  state.factor = widen_factor(model.factor());
+  state.nugget_var = {model.nugget_variance()};
+  state.plan =
+      std::make_shared<const sht::SHTPlan>(cfg.band_limit, model.grid());
+  return ClimateEmulator(std::move(cfg), std::move(state));
 }
 
 FrozenModel::FrozenModel(const std::string& path)

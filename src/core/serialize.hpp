@@ -33,7 +33,9 @@ enum class FactorStorage : std::uint8_t {
 void save_emulator(const ClimateEmulator& emulator, const std::string& path,
                    FactorStorage factor_storage = FactorStorage::FP64);
 
-/// Reads a model written by save_emulator (any factor storage).
+/// Reads a model written by save_emulator (any factor storage): a
+/// FrozenModel's sections, copied, the factor widened to packed F64 rows.
+/// A malformed or crafted file is an IoError.
 ClimateEmulator load_emulator(const std::string& path);
 
 /// A trained model opened read-only via mmap, for serving.

@@ -1,6 +1,8 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -9,7 +11,14 @@ namespace exaclim::linalg {
 Matrix::Matrix(index_t rows, index_t cols, double fill)
     : rows_(rows), cols_(cols) {
   EXACLIM_CHECK(rows >= 0 && cols >= 0, "matrix dimensions must be >= 0");
-  data_.assign(static_cast<std::size_t>(rows * cols), fill);
+  std::size_t bytes = 0;
+  EXACLIM_CHECK(!__builtin_mul_overflow(static_cast<std::size_t>(rows),
+                                        static_cast<std::size_t>(cols),
+                                        &bytes) &&
+                    !__builtin_mul_overflow(bytes, sizeof(double), &bytes) &&
+                    bytes <= static_cast<std::size_t>(PTRDIFF_MAX),
+                "matrix dimensions overflow the address space");
+  data_.assign(bytes / sizeof(double), fill);
 }
 
 double Matrix::frobenius_norm() const {
@@ -137,14 +146,14 @@ double cholesky_residual(const Matrix& a, const Matrix& l) {
   return den > 0.0 ? std::sqrt(num) / den : std::sqrt(num);
 }
 
-std::vector<double> pack_lower(const Matrix& a) {
-  EXACLIM_CHECK(a.rows() == a.cols(), "matrix must be square");
-  std::vector<double> packed;
-  packed.reserve(static_cast<std::size_t>(a.rows() * (a.rows() + 1) / 2));
-  for (index_t i = 0; i < a.rows(); ++i) {
-    packed.insert(packed.end(), a.row(i).begin(), a.row(i).begin() + i + 1);
+Matrix unpack_lower(std::span<const double> packed, index_t n) {
+  Matrix a(n, n);
+  EXACLIM_CHECK(packed.size() == static_cast<std::size_t>(n * (n + 1) / 2),
+                "packed lower triangle must hold n(n+1)/2 values");
+  for (index_t i = 0; i < n; ++i) {
+    std::copy_n(packed.begin() + i * (i + 1) / 2, i + 1, a.row(i).begin());
   }
-  return packed;
+  return a;
 }
 
 }  // namespace exaclim::linalg

@@ -17,6 +17,8 @@ namespace exaclim::linalg {
 class Matrix {
  public:
   Matrix() = default;
+  /// Throws InvalidArgument when rows * cols doubles overflow the address
+  /// space (PTRDIFF_MAX bytes), before allocating.
   Matrix(index_t rows, index_t cols, double fill = 0.0);
 
   index_t rows() const { return rows_; }
@@ -76,8 +78,10 @@ std::vector<double> backward_substitute(const Matrix& l, std::span<const double>
 /// ||A - L L^T||_F / ||A||_F where L is lower-triangular.
 double cholesky_residual(const Matrix& a, const Matrix& l);
 
-/// Lower triangle of square `a`, row by row: the PackedStorage::F64 layout
-/// of the sampling kernel and of a model file's factor section.
-std::vector<double> pack_lower(const Matrix& a);
+/// The n x n lower-triangular matrix whose rows 0..n-1 are `packed`, row i
+/// holding its i + 1 lower entries (the PackedStorage::F64 layout of a
+/// trained factor and of a model file's factor section); the strict upper
+/// triangle is zero.
+Matrix unpack_lower(std::span<const double> packed, index_t n);
 
 }  // namespace exaclim::linalg

@@ -1,5 +1,6 @@
 #include "linalg/tile_matrix.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -206,33 +207,32 @@ TiledSymmetricMatrix TiledSymmetricMatrix::from_dense(const Matrix& a,
 }
 
 Matrix TiledSymmetricMatrix::to_dense(bool lower_only) const {
+  const std::vector<double> packed = to_packed_lower();
   Matrix a(n_, n_);
-  std::vector<double> scratch(static_cast<std::size_t>(nb_ * nb_));
-  for (index_t i = 0; i < nt_; ++i) {
-    const index_t ri = tile_rows(i);
+  for (index_t i = 0; i < n_; ++i) {
     for (index_t j = 0; j <= i; ++j) {
-      const index_t cj = tile_rows(j);
-      tile(i, j).store_f64(scratch.data());
-      for (index_t r = 0; r < ri; ++r) {
-        for (index_t c = 0; c < cj; ++c) {
-          const double v = scratch[static_cast<std::size_t>(r * cj + c)];
-          const index_t gr = i * nb_ + r;
-          const index_t gc = j * nb_ + c;
-          if (lower_only && gc > gr) continue;
-          a(gr, gc) = v;
-          if (!lower_only && gr != gc) a(gc, gr) = v;
-        }
-      }
-    }
-  }
-  if (lower_only) {
-    // Diagonal tiles may carry stale upper entries from before POTRF; zero
-    // the strict upper triangle explicitly.
-    for (index_t r = 0; r < n_; ++r) {
-      for (index_t c = r + 1; c < n_; ++c) a(r, c) = 0.0;
+      a(i, j) = packed[static_cast<std::size_t>(i * (i + 1) / 2 + j)];
+      if (!lower_only) a(j, i) = a(i, j);
     }
   }
   return a;
+}
+
+std::vector<double> TiledSymmetricMatrix::to_packed_lower() const {
+  std::vector<double> packed(static_cast<std::size_t>(n_ * (n_ + 1) / 2));
+  std::vector<double> scratch(static_cast<std::size_t>(nb_ * nb_));
+  for (index_t i = 0; i < nt_; ++i) {
+    for (index_t j = 0; j <= i; ++j) {
+      const index_t cj = tile_rows(j);
+      tile(i, j).store_f64(scratch.data());
+      // A diagonal tile's strict upper part may hold stale pre-POTRF values.
+      for (index_t r = 0, gr = i * nb_; r < tile_rows(i); ++r, ++gr) {
+        std::copy_n(scratch.data() + r * cj, i == j ? r + 1 : cj,
+                    packed.data() + gr * (gr + 1) / 2 + j * nb_);
+      }
+    }
+  }
+  return packed;
 }
 
 double TiledSymmetricMatrix::storage_bytes() const {

@@ -121,9 +121,14 @@ class TiledSymmetricMatrix {
   static TiledSymmetricMatrix from_dense(const Matrix& a, index_t nb,
                                          PrecisionMap map);
 
-  /// Reconstructs a dense matrix in double precision. If `lower_only`, the
-  /// strictly-upper part is left zero (used after factorization, where tiles
-  /// hold the lower Cholesky factor).
+  /// The lower triangle in double precision, row by row (row i holds its
+  /// i + 1 entries): the PackedStorage::F64 layout of a trained factor. No
+  /// dense n x n is made.
+  std::vector<double> to_packed_lower() const;
+
+  /// The dense matrix in double precision: to_packed_lower() with the
+  /// strictly-upper part zero if `lower_only` (after factorization, where
+  /// tiles hold the lower Cholesky factor), else the mirror of the lower.
   Matrix to_dense(bool lower_only = false) const;
 
   index_t dim() const { return n_; }

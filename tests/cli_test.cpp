@@ -1,17 +1,24 @@
 // End-to-end checks of the exaclim_cli binary: what a user sees when it is
-// handed a damaged file.
+// handed a damaged or crafted file.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "climate/dataset.hpp"
+#include "climate/synthetic_esm.hpp"
+#include "common/framing.hpp"
 #include "common/io.hpp"
+#include "core/emulator.hpp"
+#include "core/serialize.hpp"
 
 namespace {
 
@@ -83,6 +90,62 @@ TEST(CliInfo, DispatchesOnTheMagic) {
   EXPECT_EQ(run.status, 1) << run.output;
   EXPECT_NE(run.output.find("emulator model"), std::string::npos)
       << run.output;
+}
+
+/// A small trained model saved at `path`, then re-framed at `crafted` with
+/// its header's band limit (header byte 0) set to `band_limit`; every CRC of
+/// the crafted file is valid.
+void save_models(const std::string& path, const std::string& crafted,
+                 index_t band_limit) {
+  climate::SyntheticEsmConfig data_cfg;
+  data_cfg.band_limit = 6;
+  data_cfg.grid = {7, 12};
+  data_cfg.num_years = 2;
+  data_cfg.steps_per_year = 32;
+  data_cfg.num_ensembles = 2;
+  const auto esm = climate::generate_synthetic_esm(data_cfg);
+  core::EmulatorConfig cfg;
+  cfg.band_limit = 6;
+  cfg.ar_order = 2;
+  cfg.harmonics = 2;
+  cfg.steps_per_year = 32;
+  core::ClimateEmulator emulator(cfg);
+  emulator.train(esm.data, esm.forcing);
+  core::save_emulator(emulator, path);
+
+  const common::FramedFile file(path, "EXACMDL4", "emulator model");
+  common::FramedWriter writer("EXACMDL4");
+  for (std::uint32_t tag = 1; tag <= 5; ++tag) {
+    common::ByteReader in = file.section(tag);
+    std::vector<unsigned char> payload(in.remaining());
+    in.raw(payload.data(), payload.size());
+    if (tag == 1) std::memcpy(payload.data(), &band_limit, sizeof(band_limit));
+    common::ByteWriter out;
+    out.raw(payload.data(), payload.size());
+    writer.add_section(tag, std::move(out));
+  }
+  writer.commit(crafted);
+}
+
+TEST(CliInfo, ModelHeaderIsAllInfoReads) {
+  // info prints a model's header; a header whose band limit 2^31 makes the
+  // factor's n(n+1)/2 entries overflow is an error line and exit 1, not a
+  // signal (it once crashed writing a wrapped dense factor).
+  const std::string path = ::testing::TempDir() + "/exaclim_cli_model.bin";
+  const std::string crafted =
+      ::testing::TempDir() + "/exaclim_cli_crafted_model.bin";
+  save_models(path, crafted, index_t{1} << 31);
+  const CliRun good = run_cli("info --file " + path);
+  const CliRun bad = run_cli("info --file " + crafted);
+  std::filesystem::remove(path);
+  std::filesystem::remove(crafted);
+  EXPECT_EQ(good.status, 0) << good.output;
+  EXPECT_EQ(good.output, "model: L=6, P=2, K=2, tau=32, grid 7 x 12\n");
+  EXPECT_EQ(bad.status, 1) << bad.output;
+  EXPECT_EQ(bad.output.rfind("error: ", 0), 0u) << bad.output;
+  EXPECT_NE(bad.output.find("implausible header dimensions"),
+            std::string::npos)
+      << bad.output;
 }
 
 }  // namespace

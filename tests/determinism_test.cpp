@@ -185,7 +185,7 @@ TEST(TrainDeterminism, CheckpointedAndResumedRunsMatchPlain) {
 TEST(EmulateDeterminism, UnivariateBytesIdenticalAcrossThreadsAndTiles) {
   // tile_size also sets the training Cholesky's blocking, which changes the
   // factor's low-order bits, so every configuration emulates one trained
-  // state installed through restore().
+  // state, handed to the (config, state) constructor.
   const auto esm = climate::generate_synthetic_esm(tiny_esm());
   core::ClimateEmulator trained(tiny_config());
   trained.train(esm.data, esm.forcing);
@@ -195,10 +195,7 @@ TEST(EmulateDeterminism, UnivariateBytesIdenticalAcrossThreadsAndTiles) {
       core::EmulatorConfig cfg = tiny_config();
       cfg.threads = threads;
       cfg.tile_size = tile;
-      core::ClimateEmulator emulator(cfg);
-      emulator.restore(trained.grid(), trained.trend_models(),
-                       trained.ar_models(), trained.cholesky_factor(),
-                       trained.nugget_variance());
+      const core::ClimateEmulator emulator(cfg, trained.state());
       EXPECT_TRUE(emulator.emulate(100, 2, esm.forcing, 11).raw() == reference)
           << "threads=" << threads << " tile=" << tile;
     }
@@ -206,7 +203,7 @@ TEST(EmulateDeterminism, UnivariateBytesIdenticalAcrossThreadsAndTiles) {
 }
 
 TEST(EmulateDeterminism, MultivariateBytesIdenticalAcrossThreadsAndTiles) {
-  // MultiVariateEmulator has no restore(); training is bit-reproducible
+  // MultiVariateEmulator takes no trained state; training is bit-reproducible
   // across threads, so each tile size trains once per thread count and the
   // two emulations must agree. At V = 1 it must also equal the univariate
   // emulator, which covers the tile axis through the test above.
@@ -244,20 +241,12 @@ TEST(EmulateDeterminism, MatchesParentOracleBytes) {
   // and 267 innovations per member: two panels of 34, two full panels of 64
   // and five of 53 or 54 (the reference's last panels hold 4, 64 and 11);
   // P = 3 also runs the VAR's terms both as mul + add pairs and as FMAs.
-  // V = 1 emulates models
-  // saved and loaded at each factor storage; V = 2 the joint state that
-  // train_variables hands MultiVariateEmulator, which has no saved form.
+  // V = 1 emulates the packed states of models saved and loaded at each
+  // factor storage; V = 2 the joint state that train_variables hands
+  // MultiVariateEmulator, which has no saved form.
   core::EmulatorConfig base = tiny_config();
   base.ar_order = 3;
-  struct Inputs {
-    std::string name;
-    std::shared_ptr<const sht::SHTPlan> plan;
-    std::vector<std::vector<stats::TrendModel>> trend;
-    std::vector<std::vector<double>> nugget;
-    std::vector<stats::ArModel> ar;
-    linalg::Matrix factor;
-  };
-  std::vector<Inputs> inputs;
+  std::vector<std::pair<std::string, core::TrainedVariables>> inputs;
   const auto esm = climate::generate_synthetic_esm(tiny_esm());
   core::ClimateEmulator trained(base);
   trained.train(esm.data, esm.forcing);
@@ -267,28 +256,18 @@ TEST(EmulateDeterminism, MatchesParentOracleBytes) {
         std::pair{core::FactorStorage::FP16Scaled, "fp16"}}) {
     TempFile file("determinism_oracle_model.bin");
     core::save_emulator(trained, file.path, storage);
-    const core::ClimateEmulator loaded = core::load_emulator(file.path);
-    inputs.push_back({name,
-                      std::make_shared<const sht::SHTPlan>(base.band_limit,
-                                                           loaded.grid()),
-                      {loaded.trend_models()},
-                      {loaded.nugget_variance()},
-                      loaded.ar_models(),
-                      loaded.cholesky_factor()});
+    inputs.emplace_back(name, core::load_emulator(file.path).state());
   }
   const auto bivariate = climate::generate_bivariate_esm(tiny_esm(), 0.6);
   const climate::ClimateDataset* const variables[] = {&bivariate.primary,
                                                       &bivariate.secondary};
-  core::TrainedVariables joint =
-      core::train_variables(base, variables, bivariate.forcing);
-  inputs.push_back({"joint V=2", joint.plan, std::move(joint.trend),
-                    std::move(joint.nugget_var), std::move(joint.ar),
-                    std::move(joint.factor)});
+  inputs.emplace_back("joint V=2", core::train_variables(base, variables,
+                                                         bivariate.forcing));
 
   // 200 steps need five years of forcing; the data has four.
   std::vector<double> forcing = esm.forcing;
   while (forcing.size() < 5) forcing.push_back(forcing.back() + 0.05);
-  for (const Inputs& in : inputs) {
+  for (const auto& [name, in] : inputs) {
     for (const unsigned threads : {1u, 4u}) {
       for (const index_t tile : {16, 64}) {
         core::EmulatorConfig cfg = base;
@@ -296,16 +275,16 @@ TEST(EmulateDeterminism, MatchesParentOracleBytes) {
         cfg.tile_size = tile;
         for (const index_t members : {1, 2, 3, 5}) {
           for (const index_t steps : {1, 61, 200}) {
-            SCOPED_TRACE(in.name + " threads=" + std::to_string(threads) +
+            SCOPED_TRACE(name + " threads=" + std::to_string(threads) +
                          " tile=" + std::to_string(tile) +
                          " members=" + std::to_string(members) +
                          " steps=" + std::to_string(steps));
             const auto got = core::emulate_variables(
-                cfg, *in.plan, in.trend, in.nugget, in.ar, in.factor, steps,
-                members, forcing, 11);
+                cfg, *in.plan, in.trend, in.nugget_var, in.ar,
+                in.factor_view(), steps, members, forcing, 11);
             const auto want = core::emulate_variables_ref(
-                cfg, *in.plan, in.trend, in.nugget, in.ar, in.factor, steps,
-                members, forcing, 11);
+                cfg, *in.plan, in.trend, in.nugget_var, in.ar,
+                in.factor_view(), steps, members, forcing, 11);
             ASSERT_EQ(got.size(), in.trend.size());
             ASSERT_EQ(want.size(), in.trend.size());
             for (std::size_t v = 0; v < got.size(); ++v) {
@@ -319,6 +298,58 @@ TEST(EmulateDeterminism, MatchesParentOracleBytes) {
         }
       }
     }
+  }
+}
+
+// ---------- one factor layout -------------------------------------------------
+
+TEST(FactorLayout, TrainedPackedFactorIsTheFp64FileSection) {
+  // Training writes the packed rows the FP64 file stores: the trained state
+  // and the mapped factor section agree byte for byte, as does the dense
+  // accessor unpacked from them.
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::ClimateEmulator trained(tiny_config());
+  trained.train(esm.data, esm.forcing);
+  TempFile file("determinism_layout_fp64.bin");
+  core::save_emulator(trained, file.path, core::FactorStorage::FP64);
+  const core::FrozenModel model(file.path);
+  const linalg::PackedFactorView section = model.factor();
+  const std::vector<double>& packed = trained.state().factor;
+  ASSERT_EQ(section.n, 64);
+  ASSERT_EQ(section.size_bytes, packed.size() * sizeof(double));
+  EXPECT_EQ(std::memcmp(section.bytes, packed.data(), section.size_bytes), 0);
+
+  const linalg::Matrix dense = trained.cholesky_factor();
+  for (index_t i = 0; i < section.n; ++i) {
+    for (index_t j = 0; j < section.n; ++j) {
+      const double got = dense(i, j);
+      const double want =
+          j <= i ? packed[static_cast<std::size_t>(i * (i + 1) / 2 + j)] : 0.0;
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(FactorLayout, ResavingALoadedModelRewritesTheSameFile) {
+  // A model loaded from FP64 or FP32 saves back to the file it came from:
+  // widening the factor and narrowing it again is exact.
+  const auto esm = climate::generate_synthetic_esm(tiny_esm());
+  core::ClimateEmulator trained(tiny_config());
+  trained.train(esm.data, esm.forcing);
+  for (const auto& [storage, name] :
+       {std::pair{core::FactorStorage::FP64, "fp64"},
+        std::pair{core::FactorStorage::FP32, "fp32"}}) {
+    SCOPED_TRACE(name);
+    TempFile original(std::string("determinism_resave_a_") + name + ".bin");
+    TempFile resaved(std::string("determinism_resave_b_") + name + ".bin");
+    core::save_emulator(trained, original.path, storage);
+    core::save_emulator(core::load_emulator(original.path), resaved.path,
+                        storage);
+    const auto a = common::read_file_bytes(original.path);
+    const auto b = common::read_file_bytes(resaved.path);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a == b);
   }
 }
 

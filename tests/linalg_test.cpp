@@ -2,7 +2,10 @@
 // the mixed-precision tile Cholesky (the paper's solver).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -40,6 +43,33 @@ TEST(Matrix, BasicAccessAndNorm) {
   EXPECT_EQ(m.rows(), 2);
   EXPECT_EQ(m.cols(), 3);
   EXPECT_NEAR(m.frobenius_norm(), std::sqrt(5.0 + 25.0), 1e-12);
+}
+
+TEST(Matrix, DimensionsThatOverflowThrowBeforeAllocating) {
+  // 2^62 x 2^62 doubles once wrapped to an empty matrix whose indexing
+  // reached any address; 2^30 x 2^30 fits a size_t but not PTRDIFF_MAX
+  // bytes. Both throw before anything is allocated.
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  EXPECT_THROW((void)Matrix(index_t{1} << 62, index_t{1} << 62),
+               InvalidArgument);
+  EXPECT_THROW((void)Matrix(index_t{1} << 30, index_t{1} << 30),
+               InvalidArgument);
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 1024) << "peak RSS grew (KiB)";
+  // A zero extent is no overflow, however wide the other.
+  EXPECT_EQ(Matrix(0, index_t{1} << 62).cols(), index_t{1} << 62);
+}
+
+TEST(Matrix, UnpackLowerRebuildsTheDenseTriangle) {
+  const std::vector<double> packed = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const Matrix l = unpack_lower(packed, 3);
+  const double want[3][3] = {{1, 0, 0}, {2, 3, 0}, {4, 5, 6}};
+  for (index_t i = 0; i < 3; ++i) {
+    for (index_t j = 0; j < 3; ++j) EXPECT_EQ(l(i, j), want[i][j]);
+  }
+  EXPECT_THROW(unpack_lower(packed, 4), InvalidArgument);
 }
 
 TEST(Matrix, TransposeAndIdentity) {

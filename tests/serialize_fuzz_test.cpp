@@ -1,11 +1,14 @@
 // Corruption fuzz for the framed, checksummed artifact formats: every
 // single-bit flip and every truncation of an EXACMDL4 model file or an
-// EXACKPT1 checkpoint must surface as a clean IoError — never a crash, a
-// silent success, or an unbounded allocation. Also pins the version-bump
+// EXACKPT1 checkpoint, and every crafted model header whose dimensions are
+// implausible or overflow, must surface as a clean IoError — never a crash,
+// a silent success, or an unbounded allocation. Also pins the version-bump
 // contract (EXACMDL3-era files are rejected with an actionable message),
 // the framed byte layout a gathered commit writes, and the EXACLIM1
 // dataset header's agreement with its file size.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstring>
@@ -181,9 +184,8 @@ std::string reframed_model(
 }
 
 TEST_F(SerializeFuzz, SectionDecodersRejectTrailingBytesAndCountMismatch) {
-  // Both readers (eager load_emulator, lazy FrozenModel accessors) decode a
-  // section through the same routine, so a well-framed but inconsistent
-  // section is an IoError from either.
+  // load_emulator reads through the FrozenModel accessors, so a well-framed
+  // but inconsistent section is an IoError from either.
   const std::string trailing = reframed_model(
       path_, 2,
       [](std::vector<unsigned char>& p) { p.insert(p.end(), 8, 0); },
@@ -212,6 +214,89 @@ TEST_F(SerializeFuzz, SectionDecodersRejectTrailingBytesAndCountMismatch) {
   EXPECT_THROW((void)load_emulator(short_nugget), IoError);
   std::filesystem::remove(trailing);
   std::filesystem::remove(short_nugget);
+}
+
+/// The fixture model re-framed with header fields overwritten: band limit
+/// at header byte 0, nlat at 32, nlon at 40 (0 keeps the fixture's value),
+/// and, if `empty_factor`, the FP64 storage tag (byte 48) over a factor
+/// section of no bytes. Every CRC is valid.
+std::string crafted_model(const std::string& src, index_t band_limit,
+                          index_t nlat, index_t nlon, bool empty_factor) {
+  const std::string path = reframed_model(
+      src, 1,
+      [&](std::vector<unsigned char>& header) {
+        const std::pair<std::size_t, index_t> fields[] = {
+            {0, band_limit}, {32, nlat}, {40, nlon}};
+        for (const auto& [offset, value] : fields) {
+          if (value != 0) {
+            std::memcpy(header.data() + offset, &value, sizeof(value));
+          }
+        }
+        if (empty_factor) header[48] = 0;
+      },
+      "/exaclim_fuzz_crafted_header.bin");
+  if (!empty_factor) return path;
+  return reframed_model(
+      path, 4, [](std::vector<unsigned char>& factor) { factor.clear(); },
+      "/exaclim_fuzz_crafted.bin");
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST_F(SerializeFuzz, CraftedHeaderDimensionsThrowIoErrorBeforeSizingAnything) {
+  // A CRC is no defence against a crafted file, so nothing is sized from a
+  // header before its dimensions are checked, and no section before its
+  // size is. The fixture is L = 6 on a 7 x 12 grid. L = 2^31 makes n = L^2 =
+  // 2^62, whose n(n+1)/2 packed entries overflow (a dense n x n wrapped to
+  // 0 elements and was written through a null pointer; the 8-byte entries
+  // of an FP64 factor wrapped to the 0 bytes of an empty section, which a
+  // factor view of n = 2^62 then spanned). L = 2 is a band limit no emulator
+  // takes, and a 6 x 14 grid (the fixture's 84 points) is too coarse for
+  // L = 6. L = 100 and 3000, on grids fine enough for them, name factor, AR
+  // and trend sections far larger than the file, and a 2000 x 2000 grid
+  // names 4e6 trend records: each was allocated, or touched, before its size
+  // was checked. Every case is an IoError from load_emulator and from the
+  // FrozenModel accessors that size their sections from the header, and
+  // none grows the peak RSS.
+  using Read = void (*)(const FrozenModel&);
+  const Read factor = [](const FrozenModel& m) { (void)m.factor(); };
+  const Read ar = [](const FrozenModel& m) { (void)m.ar_models(); };
+  const Read trend = [](const FrozenModel& m) { (void)m.trend_models(); };
+  const Read nugget = [](const FrozenModel& m) { (void)m.nugget_variance(); };
+  struct Case {
+    const char* name;
+    index_t band_limit, nlat, nlon;
+    bool empty_factor;
+    std::vector<Read> reads;
+  };
+  const index_t big = index_t{1} << 31;
+  const std::vector<Case> cases = {
+      {"L=2", 2, 0, 0, false, {factor, ar}},
+      {"grid 6x14", 0, 6, 14, false, {trend}},
+      {"L=100", 100, 101, 199, false, {factor, ar, trend}},
+      {"L=3000", 3000, 3001, 5999, false, {factor, ar, trend}},
+      {"grid 2000x2000", 0, 2000, 2000, false, {trend, nugget}},
+      {"L=2^31, empty factor", big, 0, 0, true, {factor, ar}},
+      {"L=2^31", big, 0, 0, false, {factor, ar}},
+  };
+  const long rss_before = peak_rss_kb();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string p = crafted_model(path_, c.band_limit, c.nlat, c.nlon,
+                                        c.empty_factor);
+    EXPECT_THROW((void)load_emulator(p), IoError);
+    for (const Read read : c.reads) {
+      EXPECT_THROW(read(FrozenModel(p)), IoError);
+    }
+    std::filesystem::remove(p);
+  }
+  EXPECT_LT(peak_rss_kb() - rss_before, 16 * 1024) << "peak RSS grew (KiB)";
+  std::filesystem::remove(::testing::TempDir() +
+                          "/exaclim_fuzz_crafted_header.bin");
 }
 
 // ---------- framed layout ---------------------------------------------------
