@@ -547,13 +547,12 @@ void write_kernels_json() {
       "\"degraded_env\": %s, \"avx512\": %d, \"f16c\": %d, \"threads\": %u, "
       "\"pinned\": %d, \"numa_nodes\": %u, "
       "\"l1d_bytes\": %zu, \"l2_bytes\": %zu, \"l3_bytes\": %zu, "
-      "\"tune_mode\": \"%s\", \"tune_probed\": %s, "
+      "\"tune_mode\": \"%s\", "
       "\"f64_kc\": %lld, \"f64_mc\": %lld, \"f64_nc\": %lld, "
       "\"f32_kc\": %lld, \"f32_mc\": %lld, \"f32_nc\": %lld}",
       hc, degraded ? "true" : "false", avx512, f16c, team.max_participants(),
       team.pinned() ? 1 : 0, topo.num_nodes(), tuning.l1d_bytes,
       tuning.l2_bytes, tuning.l3_bytes, tune_mode_name(tuning.mode).c_str(),
-      tuning.probed ? "true" : "false",
       static_cast<long long>(tuning.f64.kc),
       static_cast<long long>(tuning.f64.mc),
       static_cast<long long>(tuning.f64.nc),
@@ -569,15 +568,8 @@ void write_kernels_json() {
 
 int main(int argc, char** argv) {
   bool gbench = false;
-  const char* tune_env = std::getenv("EXACLIM_TUNE");
-  std::string tune = tune_env != nullptr ? tune_env : "";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gbench") == 0) gbench = true;
-    if (std::strcmp(argv[i], "--tune") == 0 && i + 1 < argc) tune = argv[i + 1];
-    if (std::strncmp(argv[i], "--tune=", 7) == 0) tune = argv[i] + 7;
-  }
-  if (!tune.empty()) {
-    exaclim::linalg::set_tune_mode(exaclim::linalg::parse_tune_mode(tune));
   }
   write_kernels_json();
   if (gbench) {

@@ -3,7 +3,7 @@
 //   exaclim_cli generate --out data.bin [--band-limit L] [--years Y]
 //                        [--steps-per-year TAU] [--ensembles R] [--seed S]
 //   exaclim_cli train    --data data.bin --model model.bin [--band-limit L]
-//                        [--ar-order P] [--harmonics K]
+//                        [--ar-order P] [--harmonics K] [--tile-size T]
 //                        [--variant DP|DP/SP|DP/SP/HP|DP/HP]
 //                        [--factor-storage fp64|fp32|fp16]
 //                        [--checkpoint path] [--checkpoint-every N]
@@ -11,7 +11,7 @@
 //                        [--resume path] [--fault-tolerance 0|1]
 //                        [--validate 0|1] [--quarantine 0|1]
 //                        [--valid-range MIN,MAX] [--stall-timeout SECONDS]
-//                        [--verify off|static|dynamic]
+//                        [--stall-grace SECONDS] [--verify off|static|dynamic]
 //   exaclim_cli emulate  --model model.bin --out emu.bin --steps N
 //                        [--ensembles R] [--seed S]
 //   exaclim_cli info     --file <dataset-or-model>
@@ -20,6 +20,11 @@
 //                        [--serve-requests R] [--serve-queue-depth D]
 //                        [--serve-batch K] [--serve-deadline-ms MS]
 //                        [--tile-size T] [--seed S]
+//                        [--stall-timeout SECONDS] [--verify off|static|dynamic]
+//
+// Flags are strict: a flag that neither the subcommand nor the global set
+// reads is an error (exit 1, naming the flag and the subcommand) before any
+// work starts, so a typo cannot run as if the flag were absent.
 //
 // Global flags (any subcommand): --threads N sizes the process-wide worker
 // team (default: hardware concurrency); --pin 0|1 toggles NUMA/SMT-aware
@@ -32,11 +37,6 @@
 // first trigger graceful degradation (retired deque rings dropped, scratch
 // arenas trimmed, eligible off-diagonal tiles stored at fp16) and only then
 // fail with a structured ResourceError naming the allocation site.
-// --tune fixed|auto selects the blocked-kernel cache tuning (default: fixed,
-// or the EXACLIM_TUNE env var): `fixed` keeps the committed 256/96/4096
-// block sizes so artifacts stay byte-identical across machines, `auto`
-// derives machine-specific KC/MC/NC from the detected L1d/L2/L3 sizes with
-// a one-shot micro-probe tie-break (run-to-run stable per machine).
 //
 // Checkpointing (train): --checkpoint writes a crash-consistent snapshot of
 // the Cholesky every --checkpoint-every newly-executed kernel tasks (0 =
@@ -66,7 +66,7 @@
 #include "core/consistency.hpp"
 #include "core/emulator.hpp"
 #include "core/serialize.hpp"
-#include "linalg/kernels.hpp"
+#include "linalg/precision_policy.hpp"
 #include "serve/service.hpp"
 
 using namespace exaclim;
@@ -594,15 +594,6 @@ void configure_runtime(const std::map<std::string, std::string>& args) {
   } else {
     common::FaultInjector::instance().arm_from_env();
   }
-  // Kernel tuning: --tune fixed|auto wins over EXACLIM_TUNE. Applied here,
-  // before the worker team runs any kernel, because re-tuning under running
-  // kernels is not supported. The default `fixed` keeps artifacts
-  // byte-identical across machines; `auto` derives block sizes from the
-  // detected cache hierarchy (see linalg::derive_auto_tuning).
-  const std::string tune = get_or_env(args, "tune", "EXACLIM_TUNE", "");
-  if (!tune.empty()) {
-    linalg::set_tune_mode(linalg::parse_tune_mode(tune));
-  }
 }
 
 void usage() {
@@ -643,10 +634,9 @@ void usage() {
       "  --mem-budget SIZE    cap tracked allocations, K/M/G suffixes\n"
       "                       (EXACLIM_MEM_BUDGET); degrade, then\n"
       "                       ResourceError\n"
-      "  --tune fixed|auto    blocked-kernel cache tuning (EXACLIM_TUNE)\n"
-      "  --verify MODE        DAG race/ordering verifier: off|static|dynamic\n"
-      "                       (EXACLIM_VERIFY; default static)\n"
       "\n"
+      "any other flag is an error. train and serve's --verify (the DAG\n"
+      "race/ordering verifier) falls back to EXACLIM_VERIFY, default static;\n"
       "serve flags fall back to EXACLIM_SERVE_QUEUE_DEPTH,\n"
       "EXACLIM_SERVE_BATCH, EXACLIM_SERVE_DEADLINE_MS, EXACLIM_SERVE_CLIENTS\n"
       "and EXACLIM_SERVE_REQUESTS; checkpoint flags fall back to\n"
@@ -655,25 +645,61 @@ void usage() {
       "see the header comment of examples/exaclim_cli.cpp for details\n");
 }
 
+/// A subcommand and every flag it reads.
+struct Subcommand {
+  const char* name;
+  int (*run)(const std::map<std::string, std::string>&);
+  std::vector<std::string> flags;
+};
+
+/// Rejects a flag that neither `sub` nor configure_runtime reads.
+void check_flags(const Subcommand& sub,
+                 const std::map<std::string, std::string>& args) {
+  static const std::vector<std::string> global = {"threads", "pin", "faults",
+                                                  "mem-budget"};
+  for (const auto& kv : args) {
+    const std::string& key = kv.first;
+    if (std::find(sub.flags.begin(), sub.flags.end(), key) == sub.flags.end() &&
+        std::find(global.begin(), global.end(), key) == global.end()) {
+      throw InvalidArgument("unknown flag --" + key + " for '" + sub.name +
+                            "'");
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const Subcommand subcommands[] = {
+      {"generate", cmd_generate,
+       {"out", "band-limit", "years", "steps-per-year", "ensembles", "seed"}},
+      {"train", cmd_train,
+       {"data", "model", "band-limit", "ar-order", "harmonics", "tile-size",
+        "variant", "factor-storage", "checkpoint", "checkpoint-every",
+        "checkpoint-sync", "resume", "fault-tolerance", "validate",
+        "quarantine", "valid-range", "stall-timeout", "stall-grace",
+        "verify"}},
+      {"emulate", cmd_emulate, {"model", "out", "steps", "ensembles", "seed"}},
+      {"info", cmd_info, {"file"}},
+      {"verify", cmd_verify, {"data", "emu", "band-limit"}},
+      {"serve", cmd_serve,
+       {"model", "serve-clients", "serve-requests", "serve-queue-depth",
+        "serve-batch", "serve-deadline-ms", "tile-size", "seed",
+        "stall-timeout", "verify"}},
+  };
+  const Subcommand* sub = nullptr;
+  for (const Subcommand& s : subcommands) {
+    if (argc >= 2 && std::strcmp(argv[1], s.name) == 0) sub = &s;
+  }
+  if (sub == nullptr) {
     usage();
     return 1;
   }
-  const std::string cmd = argv[1];
   try {
     const auto args = parse_args(argc, argv, 2);
+    check_flags(*sub, args);
     configure_runtime(args);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "train") return cmd_train(args);
-    if (cmd == "emulate") return cmd_emulate(args);
-    if (cmd == "info") return cmd_info(args);
-    if (cmd == "verify") return cmd_verify(args);
-    if (cmd == "serve") return cmd_serve(args);
-    usage();
-    return 1;
+    return sub->run(args);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -119,7 +119,6 @@ lint() {
     src/runtime/scheduler.cpp         # progress counters; edges use acq_rel
     src/runtime/tiled_cholesky_rt.hpp # per-tile precision escalation flags
     src/runtime/tiled_cholesky_rt.cpp
-    src/linalg/kernels.cpp            # autotuner sample counters
   )
   hits="$(grep -rl 'memory_order_relaxed' src \
           | grep -vxF -e "$(printf '%s\n' "${relaxed_ok[@]}")" || true)"

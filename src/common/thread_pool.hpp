@@ -105,7 +105,4 @@ class WorkerTeam {
   std::mutex run_mu_;              // serializes whole regions (try_lock only)
 };
 
-/// Backwards-compatible alias: the old parallel_for pool type name.
-using ThreadPool = WorkerTeam;
-
 }  // namespace exaclim::common

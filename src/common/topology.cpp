@@ -210,9 +210,8 @@ Topology::Topology() {
   num_nodes_ = std::max<unsigned>(1, static_cast<unsigned>(node_ids.size()));
 
   // Cache hierarchy of the first allowed CPU: level + type + size from
-  // /sys/devices/system/cpu/cpu<N>/cache/index*/. The kernel autotuner
-  // derives KC/MC/NC from these; a level left at 0 makes it fall back to the
-  // fixed defaults, so an unreadable /sys is degraded, never wrong.
+  // /sys/devices/system/cpu/cpu<N>/cache/index*/. Only reported (bench metas,
+  // the trace's kernel_tuning row); a level left at 0 reads as unknown.
   const int probe_cpu = slots_.empty() ? 0 : slots_.front().cpu;
   const std::string cache_base = "/sys/devices/system/cpu/cpu" +
                                  std::to_string(probe_cpu) + "/cache/index";

@@ -28,8 +28,9 @@ struct CpuSlot {
 
 /// Per-core data-cache capacities in bytes, read from
 /// /sys/devices/system/cpu/cpu<N>/cache/index*/ (level + type + size) on
-/// Linux. A level that is missing or unparsable stays 0 = unknown; consumers
-/// (the kernel autotuner) must fall back to fixed defaults then.
+/// Linux. A level that is missing or unparsable stays 0 = unknown. Reported
+/// next to the kernels' fixed blocking (linalg::active_tuning), which they
+/// do not change.
 struct CacheSizes {
   std::size_t l1d = 0;  ///< level-1 data cache
   std::size_t l2 = 0;   ///< level-2 (unified) cache

@@ -17,7 +17,6 @@ runtime::RtCholeskyOptions cholesky_options(const EmulatorConfig& config) {
   opt.threads = config.threads;
   opt.ft.enabled = config.fault_tolerance;
   opt.ft.integrity_checks = config.fault_tolerance;
-  opt.ft.jitter_base = config.jitter_base;
   opt.ft.checkpoint_path = config.checkpoint_path;
   opt.ft.checkpoint_every = config.checkpoint_every;
   opt.ft.resume_path = config.resume_path;

@@ -27,8 +27,6 @@ struct EmulatorConfig {
   index_t tile_size = 128;  ///< nb for the tiled solver
   unsigned threads = 0;     ///< 0 = hardware concurrency
 
-  double jitter_base = 1e-10;  ///< diagonal perturbation scale (Eq. 9 repair)
-
   /// Input screening (climate::validate_dataset) before training. NaN/Inf
   /// and constant-field checks are always part of it; the range screen only
   /// engages when valid_min/valid_max are set to finite bounds.
@@ -62,17 +60,10 @@ struct EmulatorConfig {
   /// EXACLIM_VERIFY, falling back to static.
   runtime::VerifyMode verify_mode = runtime::VerifyMode::Default;
 
-  /// Profile grid for the trend's rho; empty = default {0, .05, ..., .95}.
-  std::vector<double> rho_grid;
-
-  /// Burn-in steps discarded when simulating the VAR forward.
-  index_t emulation_burn_in = 64;
-
   stats::TrendFitConfig trend_config() const {
     stats::TrendFitConfig c;
     c.harmonics = harmonics;
     c.period = steps_per_year;
-    c.rho_grid = rho_grid;
     return c;
   }
 };

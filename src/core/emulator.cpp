@@ -18,6 +18,12 @@
 
 namespace exaclim::core {
 
+namespace {
+/// VAR steps simulated and discarded before the first emulated step, past the
+/// P start-up steps; shared by emulate_variables and its oracle.
+constexpr index_t kEmulationBurnIn = 64;
+}  // namespace
+
 ClimateEmulator::ClimateEmulator(EmulatorConfig config)
     : config_(std::move(config)) {
   check_config(config_);
@@ -227,7 +233,7 @@ TrainedVariables train_variables(
   // stacking on top of them.
   f = linalg::Matrix();
   stats::PreparedCovariance prepared =
-      stats::prepare_covariance(xi, config.jitter_base, threads);
+      stats::prepare_covariance(xi, threads);
   xi = linalg::Matrix();
   report.covariance_deficient = prepared.was_deficient;
   // The cross-variable diagnostic needs U-hat, which training does not keep.
@@ -312,7 +318,7 @@ std::vector<climate::ClimateDataset> emulate_variables(
   const index_t n = factor.n;
   const index_t num_points = plan.grid().num_points();
   const index_t P = config.ar_order;
-  const index_t burn = config.emulation_burn_in + P;
+  const index_t burn = kEmulationBurnIn + P;
   const index_t total = burn + num_steps;
   const unsigned threads =
       config.threads == 0 ? common::default_thread_count() : config.threads;
@@ -495,7 +501,7 @@ std::vector<climate::ClimateDataset> emulate_variables_ref(
   const index_t n = factor.n;
   const index_t num_points = plan.grid().num_points();
   const index_t P = config.ar_order;
-  const index_t burn = config.emulation_burn_in + P;
+  const index_t burn = kEmulationBurnIn + P;
   const index_t total = burn + num_steps;
 
   // Trend series m_t per variable and point, shared across members.

@@ -1,14 +1,11 @@
 #include "linalg/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #if defined(__F16C__) || defined(__AVX512F__)
 // GCC 12 reports the intrinsics' own _mm512_undefined_* placeholders as
@@ -21,7 +18,6 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "common/topology.hpp"
 
 namespace exaclim::linalg {
@@ -226,26 +222,7 @@ void syrk_ref_impl(const T* a, T* c, index_t m, index_t k) {
 // width. Ragged edges are zero-padded in the pack buffers; only valid
 // elements are written back. All kernels below are leading-dimension aware so
 // the blocked POTRF/TRSM can call straight into sub-panels of a tile.
-//
-// KC/MC/NC are runtime values (see KernelTuning in the header): defaults are
-// the committed 256/96/4096 set, `--tune=auto` replaces them with
-// cache-derived values. They are read once per kernel entry from relaxed
-// atomics — tuning is applied before parallel work starts, the atomics only
-// make late application a benign race instead of UB.
 // ===========================================================================
-
-/// Runtime cache-blocking parameters, [0] = 8-byte, [1] = 4-byte elements.
-struct AtomicBlockSizes {
-  std::atomic<index_t> kc;
-  std::atomic<index_t> mc;
-  std::atomic<index_t> nc;
-};
-AtomicBlockSizes g_block[2] = {{256, 96, 4096}, {256, 96, 4096}};
-
-/// The rest of the active tuning (provenance + cache sizes), for reporting.
-std::mutex g_tuning_mu;
-KernelTuning g_tuning;  // block sizes mirrored from g_block
-bool g_tuning_init = false;
 
 /// Per-worker scratch of the blocked engine for element type T: pack
 /// buffers and SYRK diagonal scratch live in a grow-only thread-local arena
@@ -326,12 +303,14 @@ struct Blocked {
   static constexpr index_t MR = sizeof(T) == 4 ? 8 : 4;
   static constexpr index_t NR = 8;
 #endif
-  // Cache panels (runtime-tuned): KC * (MR + NR) elements of packed slivers
-  // stay L1-resident per micro-kernel pass; an MC x KC packed A block
-  // targets L2; a KC x NC packed B panel targets L3.
-  static const AtomicBlockSizes& block_sizes() {
-    return g_block[sizeof(T) == 8 ? 0 : 1];
-  }
+  // Cache panels, the same for both element widths: KC * (MR + NR) elements
+  // of packed slivers stay L1-resident per micro-kernel pass; an MC x KC
+  // packed A block targets L2; a KC x NC packed B panel targets L3. KC sets
+  // where a k sum restarts, so it is part of every factor's bytes
+  // (docs/PERF.md, "One blocking").
+  static constexpr index_t KC = 256;
+  static constexpr index_t MC = 96;
+  static constexpr index_t NC = 4096;
   // Panel width for the blocked POTRF/TRSM factorizations.
   static constexpr index_t NB = 64;
   // Lane width of the packed TRSM panel solve: PW rows of B are solved
@@ -472,10 +451,6 @@ struct Blocked {
   static void gemm(const SA* a, index_t lda, const SB* b, index_t ldb, T alpha,
                    T* c, index_t ldc, index_t m, index_t n, index_t k) {
     if (m <= 0 || n <= 0 || k <= 0) return;
-    const AtomicBlockSizes& bs = block_sizes();
-    const index_t KC = bs.kc.load(std::memory_order_relaxed);
-    const index_t MC = bs.mc.load(std::memory_order_relaxed);
-    const index_t NC = bs.nc.load(std::memory_order_relaxed);
     Scratch& s = Scratch::get();
     for (index_t pc = 0; pc < k; pc += KC) {
       const index_t kc = std::min(KC, k - pc);
@@ -512,7 +487,6 @@ struct Blocked {
   static void syrk(const SA* a, index_t lda, T alpha, T* c, index_t ldc,
                    index_t m, index_t k) {
     if (m <= 0 || k <= 0) return;
-    const index_t MC = block_sizes().mc.load(std::memory_order_relaxed);
     for (index_t i0 = 0; i0 < m; i0 += MC) {
       const index_t mb = std::min(MC, m - i0);
       // Strictly-below-diagonal rectangle.
@@ -863,85 +837,10 @@ void trsm_rlt_loop_f16(const float* l, const common::half* b, float b_scale,
 
 // --- Kernel tuning -----------------------------------------------------------
 
-namespace {
-
-/// Rounds v down to a multiple of `mult`, then clamps to [lo, hi] (both
-/// multiples of mult themselves).
-index_t round_block(index_t v, index_t mult, index_t lo, index_t hi) {
-  return std::clamp((v / mult) * mult, lo, hi);
-}
-
-/// Analytic KC/MC/NC for one element type from detected cache sizes. A cache
-/// level of 0 (unknown) keeps that parameter at its fixed default.
-template <typename T>
-BlockSizes analytic_sizes(const common::CacheSizes& cache) {
-  BlockSizes bs;  // member initializers are the fixed defaults
-  constexpr index_t MR = Blocked<T>::MR;
-  constexpr index_t NR = Blocked<T>::NR;
-  constexpr index_t es = static_cast<index_t>(sizeof(T));
-  if (cache.l1d > 0) {
-    // One MR-sliver plus one NR-sliver of depth KC should fill ~3/4 of L1d,
-    // leaving room for the accumulator tile and stack traffic.
-    const index_t kc =
-        (3 * static_cast<index_t>(cache.l1d) / 4) / ((MR + NR) * es);
-    bs.kc = round_block(kc, 32, 64, 1024);
-  }
-  if (cache.l2 > 0) {
-    // The MC x KC packed A block targets half of L2.
-    const index_t mc = (static_cast<index_t>(cache.l2) / 2) / (bs.kc * es);
-    bs.mc = round_block(mc, MR, MR, 4096);
-  }
-  if (cache.l3 > 0) {
-    // The KC x NC packed B panel targets half of L3.
-    const index_t nc = (static_cast<index_t>(cache.l3) / 2) / (bs.kc * es);
-    bs.nc = round_block(nc, NR, NR, index_t{1} << 16);
-  }
-  return bs;
-}
-
-/// Writes one element type's block sizes into the engine's atomics.
-template <typename T>
-void store_blocks(const BlockSizes& bs) {
-  AtomicBlockSizes& g = g_block[sizeof(T) == 8 ? 0 : 1];
-  g.kc.store(bs.kc, std::memory_order_relaxed);
-  g.mc.store(bs.mc, std::memory_order_relaxed);
-  g.nc.store(bs.nc, std::memory_order_relaxed);
-}
-
-template <typename T>
-BlockSizes load_blocks() {
-  const AtomicBlockSizes& g = g_block[sizeof(T) == 8 ? 0 : 1];
-  BlockSizes bs;
-  bs.kc = g.kc.load(std::memory_order_relaxed);
-  bs.mc = g.mc.load(std::memory_order_relaxed);
-  bs.nc = g.nc.load(std::memory_order_relaxed);
-  return bs;
-}
-
-/// Best-of-5 seconds for one n=256 GEMM under the candidate blocking. The
-/// caller snapshots and restores the engine blocking around probe calls.
-template <typename T>
-double probe_seconds(const BlockSizes& bs) {
-  constexpr index_t n = 256;
-  store_blocks<T>(bs);
-  std::vector<T> a(n * n), b(n * n), c(n * n, T(0));
-  for (index_t i = 0; i < n * n; ++i) {
-    a[i] = T(0.001) * static_cast<T>((i % 37) - 18);
-    b[i] = T(0.001) * static_cast<T>((i % 29) - 14);
-  }
-  double best = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    common::Timer t;
-    Blocked<T>::gemm(a.data(), n, b.data(), n, T(1), c.data(), n, n, n, n);
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
-
-}  // namespace
-
-KernelTuning fixed_tuning() {
-  KernelTuning t;  // BlockSizes defaults are the compiled-in fixed set
+KernelTuning active_tuning() {
+  KernelTuning t;
+  t.f64 = {Blocked<double>::KC, Blocked<double>::MC, Blocked<double>::NC};
+  t.f32 = {Blocked<float>::KC, Blocked<float>::MC, Blocked<float>::NC};
   const common::CacheSizes& cache = common::Topology::instance().cache();
   t.l1d_bytes = cache.l1d;
   t.l2_bytes = cache.l2;
@@ -949,87 +848,7 @@ KernelTuning fixed_tuning() {
   return t;
 }
 
-KernelTuning derive_auto_tuning() {
-  // Memoized per process: the analytic derivation is deterministic given
-  // /sys, and running the timing probe once pins the analytic-vs-fixed
-  // choice for the process lifetime, so repeated derivations (and therefore
-  // repeated factorizations under --tune=auto) agree.
-  static std::once_flag once;
-  static KernelTuning memo;
-  std::call_once(once, [] {
-    KernelTuning t = fixed_tuning();
-    t.mode = TuneMode::Auto;
-    const common::CacheSizes cache{t.l1d_bytes, t.l2_bytes, t.l3_bytes};
-    if (cache.l1d == 0 && cache.l2 == 0 && cache.l3 == 0) {
-      memo = t;  // /sys unreadable: degrade to the fixed blocking
-      return;
-    }
-    const BlockSizes cand64 = analytic_sizes<double>(cache);
-    const BlockSizes cand32 = analytic_sizes<float>(cache);
-    // Micro-probe tie-break: the analytic candidate must beat the fixed
-    // defaults by >5% (best-of-5 each) to displace them, so noise cannot
-    // flip near-equal configurations between runs.
-    const BlockSizes saved64 = load_blocks<double>();
-    const BlockSizes saved32 = load_blocks<float>();
-    const BlockSizes fixed{};
-    if (probe_seconds<double>(cand64) < 0.95 * probe_seconds<double>(fixed)) {
-      t.f64 = cand64;
-    }
-    if (probe_seconds<float>(cand32) < 0.95 * probe_seconds<float>(fixed)) {
-      t.f32 = cand32;
-    }
-    store_blocks<double>(saved64);
-    store_blocks<float>(saved32);
-    t.probed = true;
-    memo = t;
-  });
-  return memo;
-}
-
-KernelTuning active_tuning() {
-  std::lock_guard<std::mutex> lock(g_tuning_mu);
-  if (!g_tuning_init) {
-    // Lazily fill in the detected cache sizes for reporting; the block
-    // sizes are the defaults the atomics were initialized with.
-    const common::CacheSizes& cache = common::Topology::instance().cache();
-    g_tuning.l1d_bytes = cache.l1d;
-    g_tuning.l2_bytes = cache.l2;
-    g_tuning.l3_bytes = cache.l3;
-    g_tuning_init = true;
-  }
-  return g_tuning;
-}
-
-void apply_tuning(const KernelTuning& tuning) {
-  for (const BlockSizes* bs : {&tuning.f64, &tuning.f32}) {
-    if (bs->kc <= 0 || bs->mc <= 0 || bs->nc <= 0) {
-      throw exaclim::InvalidArgument(
-          "kernel tuning: block sizes must be positive (kc=" +
-          std::to_string(bs->kc) + " mc=" + std::to_string(bs->mc) +
-          " nc=" + std::to_string(bs->nc) + ")");
-    }
-  }
-  store_blocks<double>(tuning.f64);
-  store_blocks<float>(tuning.f32);
-  std::lock_guard<std::mutex> lock(g_tuning_mu);
-  g_tuning = tuning;
-  g_tuning_init = true;
-}
-
-void set_tune_mode(TuneMode mode) {
-  apply_tuning(mode == TuneMode::Auto ? derive_auto_tuning() : fixed_tuning());
-}
-
-TuneMode parse_tune_mode(const std::string& text) {
-  if (text == "fixed") return TuneMode::Fixed;
-  if (text == "auto") return TuneMode::Auto;
-  throw exaclim::InvalidArgument("--tune: expected 'fixed' or 'auto', got '" +
-                                text + "'");
-}
-
-std::string tune_mode_name(TuneMode mode) {
-  return mode == TuneMode::Auto ? "auto" : "fixed";
-}
+std::string tune_mode_name(TuneMode) { return "fixed"; }
 
 // --- Scalar reference oracles ------------------------------------------------
 

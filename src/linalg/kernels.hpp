@@ -65,62 +65,34 @@ void trim_thread_scratch_on_pressure();
 // --- Kernel tuning -----------------------------------------------------------
 //
 // The cache-blocking parameters of the packed engine (KC slivers in L1, an
-// MC x KC packed A block in L2, a KC x NC packed B panel in L3) are runtime
-// values. The default is the fixed 256/96/4096 set every committed artifact
-// was produced with; `--tune=auto` derives machine-specific values from the
-// L1d/L2/L3 sizes the topology map reads from /sys and breaks the
-// analytic-vs-default tie with a one-shot GEMM micro-probe. Tuning is
-// process-global and must be applied before parallel kernel work starts.
-// Block sizes change the accumulation split (and therefore the low-order
-// bits) of every blocked kernel, which is why `fixed` is the default: it
-// keeps EXACMDL4 artifacts byte-identical across machines and runs.
+// MC x KC packed A block in L2, a KC x NC packed B panel in L3) are
+// compile-time constants of the engine: 256/96/4096 for both element widths,
+// the set every artifact is produced with. KC sets where a k sum restarts,
+// so it is part of every factor's bytes. This section only reports them.
 
 /// Cache-blocking parameters for one element width.
 struct BlockSizes {
-  index_t kc = 256;   ///< k-panel depth (packed slivers stay L1-resident)
-  index_t mc = 96;    ///< A-block rows (MC x KC packed block targets L2)
-  index_t nc = 4096;  ///< B-panel rows (KC x NC packed panel targets L3)
+  index_t kc = 0;  ///< k-panel depth (packed slivers stay L1-resident)
+  index_t mc = 0;  ///< A-block rows (MC x KC packed block targets L2)
+  index_t nc = 0;  ///< B-panel rows (KC x NC packed panel targets L3)
 };
 
-enum class TuneMode : std::uint8_t { Fixed = 0, Auto = 1 };
+enum class TuneMode : std::uint8_t { Fixed = 0 };
 
-/// The active (or a candidate) engine tuning, plus its provenance.
+/// The engine's blocking, plus the detected cache sizes for reporting.
 struct KernelTuning {
   BlockSizes f64;  ///< blocking for 8-byte elements
   BlockSizes f32;  ///< blocking for 4-byte elements (also the packed-f16 path)
   TuneMode mode = TuneMode::Fixed;
-  bool probed = false;  ///< the micro-probe ran (auto mode with cache info)
   std::size_t l1d_bytes = 0;  ///< detected cache sizes (0 = unknown)
   std::size_t l2_bytes = 0;
   std::size_t l3_bytes = 0;
 };
 
-/// The compiled-in default blocking (what `--tune=fixed` applies), with the
-/// detected cache sizes filled in for reporting.
-KernelTuning fixed_tuning();
-
-/// Analytic KC/MC/NC from the topology map's cache sizes, tie-broken against
-/// the fixed defaults by a one-shot GEMM micro-probe (memoized per process,
-/// so repeated calls are cheap and return the same choice). Falls back to
-/// the fixed blocking when cache sizes are unavailable.
-KernelTuning derive_auto_tuning();
-
-/// Currently applied tuning (copy; safe to call from any thread).
+/// The engine's compiled-in blocking, with common::Topology's cache sizes.
 KernelTuning active_tuning();
 
-/// Applies a tuning to the engine. NOT thread-safe against running kernels:
-/// call before parallel work starts (the CLI does this in its global-flag
-/// phase). Throws InvalidArgument on non-positive block sizes.
-void apply_tuning(const KernelTuning& tuning);
-
-/// `fixed` -> defaults, `auto` -> derive_auto_tuning(); convenience wrapper.
-void set_tune_mode(TuneMode mode);
-
-/// Parses "fixed" | "auto" (the --tune / EXACLIM_TUNE grammar); throws
-/// InvalidArgument naming the flag otherwise.
-TuneMode parse_tune_mode(const std::string& text);
-
-/// "fixed" or "auto".
+/// "fixed", the name bench metas and traces print for the mode.
 std::string tune_mode_name(TuneMode mode);
 
 // --- Factorization kernels -------------------------------------------------

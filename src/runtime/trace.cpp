@@ -44,12 +44,11 @@ void Trace::write_chrome_json(const std::string& path) const {
       << ",\"affinity_misses\":" << counters_.affinity_misses
       << ",\"transient_retries\":" << counters_.transient_retries
       << ",\"recoveries\":" << counters_.recoveries << "}}";
-  // Kernel tuning the run executed under, so a trace is reproducible: the
-  // blocked-kernel timings only make sense relative to these block sizes.
+  // The blocked kernels' cache blocking and the detected caches: the kernel
+  // timings only make sense relative to these block sizes.
   const linalg::KernelTuning tuning = linalg::active_tuning();
   out << ",{\"name\":\"kernel_tuning\",\"ph\":\"M\",\"pid\":1,\"args\":{"
       << "\"mode\":\"" << linalg::tune_mode_name(tuning.mode) << '"'
-      << ",\"probed\":" << (tuning.probed ? "true" : "false")
       << ",\"f64_kc\":" << tuning.f64.kc << ",\"f64_mc\":" << tuning.f64.mc
       << ",\"f64_nc\":" << tuning.f64.nc << ",\"f32_kc\":" << tuning.f32.kc
       << ",\"f32_mc\":" << tuning.f32.mc << ",\"f32_nc\":" << tuning.f32.nc

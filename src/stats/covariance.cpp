@@ -218,7 +218,7 @@ linalg::Matrix empirical_covariance_ref(const linalg::Matrix& samples,
 }
 
 PreparedCovariance prepare_covariance(const linalg::Matrix& samples,
-                                      double jitter_base, unsigned threads) {
+                                      unsigned threads) {
   const unsigned team =
       threads == 0 ? common::default_thread_count() : threads;
   PreparedCovariance out;
@@ -262,7 +262,7 @@ PreparedCovariance prepare_covariance(const linalg::Matrix& samples,
   double mean_diag = 0.0;
   for (index_t i = 0; i < out.u.rows(); ++i) mean_diag += out.u(i, i);
   mean_diag /= static_cast<double>(out.u.rows() > 0 ? out.u.rows() : 1);
-  out.jitter_unit = jitter_base * (mean_diag > 0.0 ? mean_diag : 1.0);
+  out.jitter_unit = 1e-10 * (mean_diag > 0.0 ? mean_diag : 1.0);
   if (out.was_deficient) {
     // Rank-deficient by construction: jitter unconditionally.
     linalg::add_diagonal_jitter(out.u, out.jitter_unit);

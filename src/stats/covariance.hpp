@@ -36,8 +36,8 @@ struct PreparedCovariance {
   linalg::Matrix u;        ///< (possibly jittered) covariance
   double jitter = 0.0;     ///< diagonal perturbation applied
   bool was_deficient = false;  ///< true iff N < d (paper's R(T-P) < L^2 case)
-  /// jitter_base x the mean of the raw diagonal: the deficiency jitter, and
-  /// the first rung of the training factor step's jitter ladder.
+  /// 1e-10 x the mean of the raw diagonal: the deficiency jitter, and the
+  /// first rung of the training factor step's jitter ladder.
   double jitter_unit = 0.0;
 };
 
@@ -53,7 +53,6 @@ struct PreparedCovariance {
 /// `threads` (0 = team width) bounds the kernel, the non-finite scan and the
 /// diagonal reduce; the result is byte-identical at any value.
 PreparedCovariance prepare_covariance(const linalg::Matrix& samples,
-                                      double jitter_base = 1e-10,
                                       unsigned threads = 0);
 
 }  // namespace exaclim::stats

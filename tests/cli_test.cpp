@@ -148,4 +148,50 @@ TEST(CliInfo, ModelHeaderIsAllInfoReads) {
       << bad.output;
 }
 
+TEST(CliFlags, UnknownFlagExitsOneNamingFlagAndSubcommand) {
+  // A flag the subcommand does not read (a typo, or the removed --tune) is an
+  // error before any work starts, not a run as if the flag were absent.
+  const std::string dir = ::testing::TempDir();
+  const std::string data = dir + "/exaclim_cli_flags_data.bin";
+  const std::string model = dir + "/exaclim_cli_flags_model.bin";
+  const std::string unwritten[] = {dir + "/exaclim_cli_flags_typo.bin",
+                                   dir + "/exaclim_cli_flags_typo_model.bin",
+                                   dir + "/exaclim_cli_flags_emu.bin"};
+  const std::string small =
+      " --band-limit 6 --years 2 --steps-per-year 16 --ensembles 2";
+  const CliRun generated = run_cli("generate --out " + data + small);
+  ASSERT_EQ(generated.status, 0) << generated.output;
+  const std::string train = "train --data " + data + " --ar-order 1" +
+                            " --harmonics 1 --model ";
+  const CliRun trained = run_cli(train + model);
+  ASSERT_EQ(trained.status, 0) << trained.output;
+
+  struct Case {
+    std::string args, flag, subcommand;
+  };
+  const Case cases[] = {
+      {"generate --out " + unwritten[0] + small + " --sede 5", "--sede",
+       "generate"},
+      {train + unwritten[1] + " --tile-sise 999", "--tile-sise", "train"},
+      {"emulate --model " + model + " --out " + unwritten[2] +
+           " --steps 8 --verify bogus",
+       "--verify", "emulate"},
+      {train + unwritten[1] + " --tune auto", "--tune", "train"},
+  };
+  for (const Case& c : cases) {
+    const CliRun run = run_cli(c.args);
+    EXPECT_EQ(run.status, 1) << c.args << "\n" << run.output;
+    EXPECT_EQ(run.output.rfind("error: ", 0), 0u) << run.output;
+    EXPECT_NE(run.output.find(c.flag), std::string::npos) << run.output;
+    EXPECT_NE(run.output.find("'" + c.subcommand + "'"), std::string::npos)
+        << run.output;
+  }
+  for (const std::string& path : unwritten) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    std::filesystem::remove(path);
+  }
+  std::filesystem::remove(data);
+  std::filesystem::remove(model);
+}
+
 }  // namespace

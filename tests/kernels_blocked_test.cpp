@@ -2,10 +2,8 @@
 // 1e-12 relative in f64, 1e-4 relative in f32, across rectangular shapes,
 // degenerate sizes, and sizes straddling every blocking boundary: the
 // micro-tile MR/NR, the factorization panel NB = 64, and the cache blocks
-// KC/MC — which are runtime-tuned now, so the shape lists below combine a
-// fixed set (covering the default 96/256 blocking) with boundaries queried
-// from the active tuning. The suite must pass under any tuning the
-// autotuner may select, not just the compiled-in defaults. The packed
+// KC/MC, whose off-by-ones the shape lists below take from the engine's
+// compiled-in blocking as active_tuning() reports it. The packed
 // sampling apply and the training kernels (the batched trend fit, the
 // harmonic-table trend series and the blocked innovation covariance) are
 // held to a stricter rule: byte equality with their oracles, and so are the
@@ -80,9 +78,9 @@ const Shape kGemmShapes[] = {
     {8, 32, 16}, {13, 9, 17},  {33, 31, 29},  {64, 64, 64}, {65, 63, 67},
     {96, 97, 95}, {100, 41, 257}, {128, 128, 300}, {256, 256, 256}};
 
-/// The fixed shape list plus boundary shapes of whatever tuning is active
-/// right now (KC/MC and their off-by-ones), capped so an autotuned MC in the
-/// thousands does not blow the oracle's O(m n k) cost.
+/// The fixed shape list plus the engine's KC/MC boundaries and their
+/// off-by-ones, capped so a larger blocking cannot blow the oracle's
+/// O(m n k) cost.
 std::vector<Shape> gemm_shapes(const BlockSizes& bs) {
   std::vector<Shape> shapes(std::begin(kGemmShapes), std::end(kGemmShapes));
   const index_t kc = std::min<index_t>(bs.kc, 1024);

@@ -1,24 +1,17 @@
 // Coverage for the packed-panel TRSM / recursive POTRF rebuild and the
-// kernel autotuner (`ctest -L kernels`):
+// engine's blocking report (`ctest -L kernels`):
 //   * blocked-vs-*_ref parity over adversarial shapes — n = 1, the
 //     micro-tile off-by-ones MR +- 1, sizes not a multiple of MR/NR/KC, and
 //     sizes straddling the recursion midpoints — in f64, f32 and the
 //     packed scaled-f16 TRSM;
-//   * the same parity sweep again under the auto-derived tuning, so a
-//     machine-specific KC/MC/NC can never ship wrong results;
-//   * autotuner determinism: two derivations agree and two factorizations
-//     under --tune=auto produce byte-identical factors (the acceptance
-//     criterion behind `--tune=auto is run-to-run stable per machine`);
-//   * the --tune grammar and the /sys cache-size parser;
-//   * a guard pinning the fixed defaults to 256/96/4096 — changing them
+//   * the /sys cache-size parser;
+//   * a guard pinning the compiled-in blocking to 256/96/4096 — changing it
 //     silently would re-round every committed EXACMDL4 artifact.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/half.hpp"
 #include "common/rng.hpp"
 #include "common/topology.hpp"
@@ -28,12 +21,6 @@ namespace {
 
 using namespace exaclim;
 using namespace exaclim::linalg;
-
-/// Restores the default fixed tuning on scope exit so tests that apply the
-/// auto tuning cannot leak it into other suites in this process.
-struct TuningRestore {
-  ~TuningRestore() { set_tune_mode(TuneMode::Fixed); }
-};
 
 template <typename T>
 std::vector<T> random_vec(index_t n, std::uint64_t seed) {
@@ -174,86 +161,14 @@ TEST(KernelsTuned, TrsmF16MatchesScalarOracle) {
 }
 
 TEST(KernelsTuned, FixedDefaultsUnchanged) {
-  const KernelTuning t = fixed_tuning();
-  EXPECT_EQ(t.mode, TuneMode::Fixed);
+  // pipebench's meta line prints the mode and these six values.
+  const KernelTuning t = active_tuning();
+  EXPECT_EQ(tune_mode_name(t.mode), "fixed");
   for (const BlockSizes* bs : {&t.f64, &t.f32}) {
     EXPECT_EQ(bs->kc, 256);
     EXPECT_EQ(bs->mc, 96);
     EXPECT_EQ(bs->nc, 4096);
   }
-}
-
-TEST(KernelsTuned, AutoDerivationIsStable) {
-  const KernelTuning t1 = derive_auto_tuning();
-  const KernelTuning t2 = derive_auto_tuning();
-  EXPECT_EQ(t1.mode, TuneMode::Auto);
-  EXPECT_EQ(t1.f64.kc, t2.f64.kc);
-  EXPECT_EQ(t1.f64.mc, t2.f64.mc);
-  EXPECT_EQ(t1.f64.nc, t2.f64.nc);
-  EXPECT_EQ(t1.f32.kc, t2.f32.kc);
-  EXPECT_EQ(t1.f32.mc, t2.f32.mc);
-  EXPECT_EQ(t1.f32.nc, t2.f32.nc);
-  EXPECT_GT(t1.f64.kc, 0);
-  EXPECT_GT(t1.f64.mc, 0);
-  EXPECT_GT(t1.f64.nc, 0);
-}
-
-TEST(KernelsTuned, AutoTunedFactorsAreIdenticalAcrossRuns) {
-  // Two factorizations under --tune=auto must produce bit-identical factors
-  // on the same machine (the block sizes determine the accumulation split,
-  // and the derived tuning is stable).
-  TuningRestore restore;
-  set_tune_mode(TuneMode::Auto);
-  const index_t n = 193;
-  const auto orig = spd_tile<double>(n);
-  auto run1 = orig;
-  auto run2 = orig;
-  potrf_lower_f64(run1.data(), n);
-  potrf_lower_f64(run2.data(), n);
-  EXPECT_EQ(0, std::memcmp(run1.data(), run2.data(),
-                           run1.size() * sizeof(double)));
-  auto b1 = random_vec<double>(130 * n, 42);
-  auto b2 = b1;
-  trsm_rlt_f64(run1.data(), b1.data(), 130, n);
-  trsm_rlt_f64(run2.data(), b2.data(), 130, n);
-  EXPECT_EQ(0, std::memcmp(b1.data(), b2.data(), b1.size() * sizeof(double)));
-}
-
-TEST(KernelsTuned, ParityHoldsUnderAutoTuning) {
-  // Whatever KC/MC/NC the autotuner picked on this machine, results must
-  // still match the scalar oracles (a reduced sweep keeps the cost sane).
-  TuningRestore restore;
-  set_tune_mode(TuneMode::Auto);
-  expect_trsm_parity_f64(1e-12);
-  expect_potrf_parity_f64(1e-11);
-}
-
-TEST(KernelsTuned, ActiveTuningReflectsApply) {
-  TuningRestore restore;
-  KernelTuning t = fixed_tuning();
-  t.f64.kc = 128;
-  t.f64.mc = 64;
-  apply_tuning(t);
-  const KernelTuning got = active_tuning();
-  EXPECT_EQ(got.f64.kc, 128);
-  EXPECT_EQ(got.f64.mc, 64);
-  EXPECT_EQ(got.f32.kc, 256);
-}
-
-TEST(KernelsTuned, ApplyRejectsNonPositiveBlocks) {
-  KernelTuning t = fixed_tuning();
-  t.f32.mc = 0;
-  EXPECT_THROW(apply_tuning(t), InvalidArgument);
-}
-
-TEST(KernelsTuned, ParseTuneMode) {
-  EXPECT_EQ(parse_tune_mode("fixed"), TuneMode::Fixed);
-  EXPECT_EQ(parse_tune_mode("auto"), TuneMode::Auto);
-  EXPECT_EQ(tune_mode_name(TuneMode::Fixed), "fixed");
-  EXPECT_EQ(tune_mode_name(TuneMode::Auto), "auto");
-  EXPECT_THROW(parse_tune_mode("AUTO"), InvalidArgument);
-  EXPECT_THROW(parse_tune_mode(""), InvalidArgument);
-  EXPECT_THROW(parse_tune_mode("fast"), InvalidArgument);
 }
 
 TEST(KernelsTuned, ParseCacheSize) {
@@ -272,7 +187,7 @@ TEST(KernelsTuned, ParseCacheSize) {
 
 TEST(KernelsTuned, TopologyCacheIsConsistentWithTuningReport) {
   const common::CacheSizes& cache = common::Topology::instance().cache();
-  const KernelTuning t = fixed_tuning();
+  const KernelTuning t = active_tuning();
   EXPECT_EQ(t.l1d_bytes, cache.l1d);
   EXPECT_EQ(t.l2_bytes, cache.l2);
   EXPECT_EQ(t.l3_bytes, cache.l3);
